@@ -46,17 +46,8 @@ _N_INDEPENDENT = 7  # + the attacker's three identities = 10 heard
 _SLIDES_S = (0.5, 1.0, 2.5, 5.0)
 
 _CONFIGS = {
-    "exact": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 0,
-        "pairwise_pruning": False,
-    },
-    "incremental": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": False,
-        "pairwise_incremental": True,
-    },
+    "exact": {},
+    "incremental": {"pairwise_incremental": True},
 }
 
 

@@ -1,27 +1,23 @@
-"""Pairwise-engine benchmark — the PR-2 performance trajectory seed.
+"""Pairwise-engine benchmark — exact kernels vs the incremental engine.
 
 Replays one online-pipeline workload (an attacker trio plus independent
 neighbours, 10 Hz beacons, a detection every 5 s plus one same-window
 recheck and four *sliding* rechecks per period — the app-triggered
 event-messaging pattern where each recheck's window has slid by ~10 new
-beacons) through five comparison-phase configurations:
+beacons) through the engine's two comparison paths:
 
-* ``naive``       — the legacy per-pair scalar loop,
-* ``kernel``      — the engine's vectorised/batched kernels, no reuse,
-* ``cached``      — kernels plus the incremental pair cache,
-* ``full``        — kernels, cache, and bound-cascade pruning,
-* ``incremental`` — kernels, cache, sliding envelopes, carried
-  verdicts, and early-abandon DTW (priced by the new beacons).
+* ``kernel``      — exact compare: the vectorised/batched kernels run
+  every pair of every detection,
+* ``incremental`` — sliding envelopes, carried verdicts, bound
+  decisions and early-abandon DTW (priced by the new beacons).
 
-Every configuration must flag exactly the same Sybil pairs in every
-period (the engine's bit-equality contract); the run writes
-``BENCH_pairwise.json`` at the repo root with pairs/sec, cache-hit rate
-and DTW cells relaxed/saved per configuration, and asserts the
-acceptance criteria: the full engine relaxes >= 4x fewer DP cells than
-the naive loop on this recheck-heavy workload, and the incremental
+Both must flag exactly the same Sybil pairs in every period (the
+engine's bit-equality contract); the run writes ``BENCH_pairwise.json``
+at the repo root with pairs/sec and DTW cells relaxed/saved per
+configuration, and asserts the acceptance criteria: the incremental
 engine sustains >= 3x the committed-baseline cached throughput
-(absolute anchor, see ``_BASELINE_CACHED_PPS``) while also beating the
-same-run cached configuration.
+(absolute anchor, see ``_BASELINE_CACHED_PPS``) and >=
+``_CACHED_OVER_KERNEL`` times the same-run kernel throughput.
 """
 
 import json
@@ -54,29 +50,15 @@ _SLIDING_RECHECKS_S = (1.0, 2.0, 3.0, 4.0)
 #: the recheck-heavy workload.
 _BASELINE_CACHED_PPS = 4744.5
 
+#: Same-run relative bar over the ``kernel`` configuration: the
+#: committed baseline's cached-over-kernel speed-up on this workload
+#: (kernel 1,701.3 ms / cached 1,385.5 ms = 1.228), so the incremental
+#: engine must still beat what a same-window pair cache bought.
+_CACHED_OVER_KERNEL = 1.23
+
 _CONFIGS = {
-    "naive": {"pairwise_engine": False},
-    "kernel": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 0,
-        "pairwise_pruning": False,
-    },
-    "cached": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": False,
-    },
-    "full": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": True,
-    },
-    "incremental": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": False,
-        "pairwise_incremental": True,
-    },
+    "kernel": {},
+    "incremental": {"pairwise_incremental": True},
 }
 
 
@@ -130,8 +112,7 @@ def _run_config(name):
         if report is not None:
             # An application-triggered recheck of the same window (the
             # paper's event-triggered messaging): identical series, so
-            # a cache (or a carry) answers it without relaxing a single
-            # DP cell.
+            # a carry answers it without relaxing a single DP cell.
             recheck = pipeline.force_detection(report.timestamp)
             flagged.append((report.sybil_pairs, recheck.sybil_pairs))
             detections += 2
@@ -154,10 +135,6 @@ def _run_config(name):
         "envelope_updates": int(
             registry.counter("detector.envelope_updates").value
         ),
-        "cache_hits": int(registry.counter("detector.cache_hits").value),
-        "hit_rate": round(
-            registry.counter("detector.cache_hits").value / pairs, 3
-        ),
         "dtw_cells": int(registry.counter("detector.dtw_cells").value),
         "cells_saved": int(registry.counter("detector.cells_saved").value),
     }
@@ -171,15 +148,12 @@ def test_bench_pairwise(once, benchmark):
     outcomes = once(benchmark, run_all)
     records = {name: record for name, (record, _) in outcomes.items()}
 
-    # Bit-equality acceptance: every configuration flags exactly the
-    # same Sybil pairs as the naive loop, in every detection period.
-    reference = outcomes["naive"][1]
-    for name, (_, flagged) in outcomes.items():
-        assert flagged == reference, f"{name} diverged from the naive flag sets"
+    # Bit-equality acceptance: the incremental engine flags exactly the
+    # same Sybil pairs as exact compare, in every detection period.
+    assert outcomes["incremental"][1] == outcomes["kernel"][1], (
+        "incremental diverged from the exact flag sets"
+    )
 
-    naive_cells = records["naive"]["dtw_cells"]
-    full_cells = records["full"]["dtw_cells"]
-    records["full"]["cells_ratio_vs_naive"] = round(naive_cells / full_cells, 1)
     payload = {
         "workload": {
             "identities": _N_INDEPENDENT + 3,
@@ -198,7 +172,6 @@ def test_bench_pairwise(once, benchmark):
             "config",
             "wall ms",
             "pairs/s",
-            "hit rate",
             "pruned",
             "carried",
             "abandoned",
@@ -209,7 +182,6 @@ def test_bench_pairwise(once, benchmark):
                 name,
                 record["wall_ms"],
                 record["pairs_per_s"],
-                record["hit_rate"],
                 record["pairs_pruned"],
                 record["pairs_incremental"],
                 record["pairs_abandoned"],
@@ -222,23 +194,19 @@ def test_bench_pairwise(once, benchmark):
     print("\n" + table)
     benchmark.extra_info["table"] = table
 
-    # Acceptance criterion: >= 4x fewer DP cells relaxed end-to-end.
-    # (The sliding rechecks add near-identical windows whose bounds are
-    # genuinely tight, so the cascade prunes a little less than on the
-    # periodic-only workload, where the ratio was >= 5x.)
-    assert naive_cells >= 4 * full_cells, (naive_cells, full_cells)
-    # The cache alone must absorb the same-window recheck share of the
-    # workload (1 of the 6 detections per period; sliding rechecks miss).
-    assert records["cached"]["hit_rate"] >= 0.15
     # The incremental engine must turn the sliding rechecks into carried
     # or cheaply-decided pairs: >= 3x the committed-baseline cached
-    # throughput — an absolute bar — and faster than cached in-run.
-    assert (
-        records["incremental"]["pairs_per_s"] >= 3.0 * _BASELINE_CACHED_PPS
-    ), (records["incremental"]["pairs_per_s"], _BASELINE_CACHED_PPS)
-    assert (
-        records["incremental"]["pairs_per_s"]
-        > records["cached"]["pairs_per_s"]
-    ), (records["incremental"]["pairs_per_s"], records["cached"]["pairs_per_s"])
+    # throughput — an absolute bar — and >= the cache's own speed-up
+    # over the same-run kernel configuration.
+    incremental_pps = records["incremental"]["pairs_per_s"]
+    kernel_pps = records["kernel"]["pairs_per_s"]
+    assert incremental_pps >= 3.0 * _BASELINE_CACHED_PPS, (
+        incremental_pps,
+        _BASELINE_CACHED_PPS,
+    )
+    assert incremental_pps >= _CACHED_OVER_KERNEL * kernel_pps, (
+        incremental_pps,
+        kernel_pps,
+    )
     assert records["incremental"]["pairs_incremental"] > 0
     assert records["incremental"]["envelope_updates"] > 0

@@ -14,13 +14,10 @@ from .fastdtw import fastdtw, fastdtw_distance
 from .lda import DecisionLine, LDAModel, fit_decision_line, fit_lda
 from .normalization import enhanced_zscore, minmax, minmax_distances, zscore
 from .pairwise import (
-    EngineDefaults,
     PairwiseEngine,
     PairwiseStats,
     dtw_banded_batch,
     dtw_banded_vec,
-    get_engine_defaults,
-    set_engine_defaults,
 )
 from .pipeline import OnlineVoiceprint, OnlineVoiceprintConfig
 from .thresholds import (
@@ -58,13 +55,10 @@ __all__ = [
     "minmax",
     "minmax_distances",
     "zscore",
-    "EngineDefaults",
     "PairwiseEngine",
     "PairwiseStats",
     "dtw_banded_batch",
     "dtw_banded_vec",
-    "get_engine_defaults",
-    "set_engine_defaults",
     "OnlineVoiceprint",
     "OnlineVoiceprintConfig",
     "PAPER_FIELD_THRESHOLD",

@@ -40,10 +40,9 @@ from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.timers import Stopwatch
 from ..obs.trace import Tracer, default_tracer
-from .fastdtw import DEFAULT_RADIUS, dtw_banded_fast, fastdtw
-from .dtw import dtw
+from .fastdtw import DEFAULT_RADIUS
 from .normalization import _SIGMA_FLOOR, minmax_distances, zscore
-from .pairwise import PairwiseEngine, PairwiseStats, get_engine_defaults
+from .pairwise import PairwiseEngine, PairwiseStats
 from .thresholds import LinearThreshold, ThresholdPolicy
 from .timeseries import RSSITimeSeries
 
@@ -145,39 +144,21 @@ class DetectorConfig:
             make *short* series pairs spuriously similar simply because
             fewer terms are summed.  Path-length normalisation removes
             that length bias; the ablation bench (E12) measures both.
-        pairwise_engine: Run the comparison phase through the
-            :class:`repro.core.pairwise.PairwiseEngine` (vectorised /
-            batched banded-DTW kernels plus the incremental pair
-            cache).  Bit-identical to the legacy per-pair loop, just
-            faster.  ``None`` (default) follows the process-wide
-            engine defaults (CLI ``--pairwise``).
-        pairwise_pruning: Let :meth:`VoiceprintDetector.detect` decide
-            pairs from the engine's lower/upper-bound cascade without
-            running DTW when the bounds cannot change the flagged set
-            (banded mode only).  Flagged pairs are identical to the
-            exact computation; pruned pairs carry bound surrogates
-            instead of exact distances in the report, so analyses that
-            consume distance *values* should leave this off (the
-            default; see DESIGN.md).  ``None`` follows the process-wide
-            defaults.
         pairwise_incremental: Price each detection by what *changed*
-            since the previous period instead of the window size:
+            since the previous period instead of the window size
+            (:meth:`repro.core.pairwise.PairwiseEngine.compare_incremental`,
+            banded mode only; the streaming service turns it on):
             per-identity envelopes slide as beacons arrive, unchanged
             pairs carry the previous period's exact distance, and
             bound-undecided pairs run early-abandon DTW seeded with the
-            decision boundary (banded mode only; takes precedence over
-            ``pairwise_pruning``).  ``sybil_pairs`` stay byte-identical
-            to the exact path; like pruning, undecided-then-abandoned
-            pairs report surrogate distances — but only when
-            consecutive windows actually overlap, so disjoint-window
-            workloads (observation time == detection period) reproduce
-            exact-mode reports bit for bit (see DESIGN.md §5f).
-            ``None`` follows the process-wide defaults.
-        pairwise_cache_size: LRU capacity of the engine's pair cache
-            (0 disables; ``None`` follows the process-wide defaults).
-        pairwise_workers: Engine thread-pool width for exact kernel
-            evaluations (0 = inline; ``None`` follows the process-wide
-            defaults).
+            decision boundary.  ``sybil_pairs`` stay byte-identical to
+            the exact path (:meth:`~repro.core.pairwise.PairwiseEngine.compare`,
+            the default); pairs decided from bounds or abandoned report
+            surrogate distances — but only when consecutive windows
+            actually overlap, so disjoint-window workloads (observation
+            time == detection period) reproduce exact-mode reports bit
+            for bit (see DESIGN.md §5f).  Leave it off where distance
+            *values* matter (LDA training reads ``report.distances``).
     """
 
     observation_time: float = 20.0
@@ -189,11 +170,7 @@ class DetectorConfig:
     threshold_on: str = "normalized"
     use_exact_dtw: bool = False
     normalize_by_path_length: bool = True
-    pairwise_engine: Optional[bool] = None
-    pairwise_pruning: Optional[bool] = None
-    pairwise_incremental: Optional[bool] = None
-    pairwise_cache_size: Optional[int] = None
-    pairwise_workers: Optional[int] = None
+    pairwise_incremental: bool = False
 
     def __post_init__(self) -> None:
         if self.observation_time <= 0:
@@ -224,14 +201,6 @@ class DetectorConfig:
             raise ValueError(
                 f"threshold_on must be 'normalized' or 'raw', got "
                 f"{self.threshold_on!r}"
-            )
-        if self.pairwise_cache_size is not None and self.pairwise_cache_size < 0:
-            raise ValueError(
-                f"pairwise_cache_size must be >= 0, got {self.pairwise_cache_size}"
-            )
-        if self.pairwise_workers is not None and self.pairwise_workers < 0:
-            raise ValueError(
-                f"pairwise_workers must be >= 0, got {self.pairwise_workers}"
             )
 
 
@@ -394,53 +363,25 @@ class VoiceprintDetector:
         self._health = health if health is not None else default_monitor()
         self._c_beacons = metrics.counter("detector.beacons_observed")
         self._c_evictions = metrics.counter("detector.series_evictions")
-        self._c_pairs = metrics.counter("detector.pairs_compared")
-        self._c_cells = metrics.counter("detector.dtw_cells")
         self._h_detect_ms = metrics.histogram("detector.detect_ms")
         self._h_margin = metrics.histogram("pipeline.margin.signed")
         self._h_margin_abs = metrics.histogram("pipeline.margin.abs")
         self._c_near_miss = metrics.counter("pipeline.margin.near_miss")
-        defaults = get_engine_defaults()
         cfg = self.config
-        use_engine = (
-            defaults.engine if cfg.pairwise_engine is None else cfg.pairwise_engine
+        self._engine = PairwiseEngine(
+            band_radius=cfg.band_radius_samples,
+            use_exact_dtw=cfg.use_exact_dtw,
+            fastdtw_radius=cfg.fastdtw_radius,
+            normalize_by_path_length=cfg.normalize_by_path_length,
+            incremental=cfg.pairwise_incremental,
+            registry=metrics,
         )
-        self._pruning = (
-            defaults.pruning if cfg.pairwise_pruning is None else cfg.pairwise_pruning
-        )
-        self._incremental = (
-            defaults.incremental
-            if cfg.pairwise_incremental is None
-            else cfg.pairwise_incremental
-        )
-        self._engine: Optional[PairwiseEngine] = None
-        if use_engine:
-            self._engine = PairwiseEngine(
-                band_radius=cfg.band_radius_samples,
-                use_exact_dtw=cfg.use_exact_dtw,
-                fastdtw_radius=cfg.fastdtw_radius,
-                normalize_by_path_length=cfg.normalize_by_path_length,
-                pruning=self._pruning,
-                incremental=self._incremental,
-                cache_size=(
-                    defaults.cache_size
-                    if cfg.pairwise_cache_size is None
-                    else cfg.pairwise_cache_size
-                ),
-                workers=(
-                    defaults.workers
-                    if cfg.pairwise_workers is None
-                    else cfg.pairwise_workers
-                ),
-                registry=metrics,
-            )
-
         self._c_stale_forgets = metrics.counter("detector.stale_forgets")
 
     @property
-    def pairwise_stats(self) -> Optional[PairwiseStats]:
-        """Cumulative engine work accounting (``None`` on the legacy path)."""
-        return self._engine.stats if self._engine is not None else None
+    def pairwise_stats(self) -> PairwiseStats:
+        """Cumulative pairwise-engine work accounting."""
+        return self._engine.stats
 
     # ------------------------------------------------------------------
     # Single-writer ownership guard
@@ -525,8 +466,7 @@ class VoiceprintDetector:
         ]
         for identity in stale:
             del self._buffers[identity]
-            if self._engine is not None:
-                self._engine.drop_identity(identity)
+            self._engine.drop_identity(identity)
         if stale:
             self._c_stale_forgets.inc(len(stale))
         self._next_sweep_t = self._latest + self.config.observation_time
@@ -564,38 +504,24 @@ class VoiceprintDetector:
         self._check_owner()
         identity = str(identity)
         self._buffers.pop(identity, None)
-        if self._engine is not None:
-            self._engine.drop_identity(identity)
+        self._engine.drop_identity(identity)
 
     # ------------------------------------------------------------------
     # Comparison + confirmation phases
     # ------------------------------------------------------------------
-    def _pair_distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        if self.config.use_exact_dtw:
-            result = dtw(x, y)
-        elif self.config.band_radius_samples is not None:
-            result = dtw_banded_fast(x, y, self.config.band_radius_samples)
-        else:
-            result = fastdtw(x, y, radius=self.config.fastdtw_radius)
-        self._c_pairs.inc()
-        self._c_cells.inc(result.cells)
-        if self.config.normalize_by_path_length:
-            return result.distance / len(result.path)
-        return result.distance
-
     def _normalise(
         self,
         now: float,
         capture: Optional[Dict[str, Any]] = None,
         inc_out: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], List[str], Optional[Dict[str, bytes]], str]:
+    ) -> Tuple[Dict[str, np.ndarray], List[str], str]:
         """Cut and normalise the observation window (``normalise`` span).
 
-        Returns ``(normalised, skipped, cache_keys, scale_tag)``.  The
-        cache keys fingerprint each identity's *raw* window bytes and
-        the scale tag fingerprints everything else that determines the
-        normalised series, so key+tag equality implies the normalised
-        series — and hence any DTW result on them — is identical.
+        Returns ``(normalised, skipped, scale_tag)``.  The scale tag
+        fingerprints everything besides the raw window bytes that
+        determines the normalised series, so equal raw bytes plus an
+        equal tag imply an identical normalised series — and hence an
+        identical DTW result on it.
 
         When ``capture`` is given (an audit sink is active), it is
         filled with the raw windows and the exact ``(mean, divisor)``
@@ -605,6 +531,7 @@ class VoiceprintDetector:
 
         When ``inc_out`` is given (incremental engine mode), it is
         filled with the per-identity raw windows (``"raw"``), their
+        exact bytes (``"keys"``, the per-pair carry fingerprints), their
         timestamps (``"times"``, which align the overlap between
         consecutive sliding windows) and the same exact ``(mean,
         divisor)`` pairs (``"params"``) the incremental engine uses to
@@ -667,54 +594,17 @@ class VoiceprintDetector:
                                 "mean": mean,
                                 "divisor": divisor,
                             }
-            if capture is not None:
-                capture["scale_tag"] = scale_tag
-            keys: Optional[Dict[str, bytes]] = None
-            if self._engine is not None and (
-                self._engine.cache_enabled or inc_out is not None
-            ):
-                keys = {
+            if inc_out is not None:
+                inc_out["raw"] = windows
+                inc_out["keys"] = {
                     identity: values.tobytes()
                     for identity, values in windows.items()
                 }
-            if inc_out is not None:
-                inc_out["raw"] = windows
                 inc_out["times"] = window_times
                 inc_out["params"] = params
             span.set_attribute("series", len(normalised))
             span.set_attribute("skipped", len(skipped))
-        return normalised, skipped, keys, scale_tag
-
-    def compare(
-        self,
-        now: Optional[float] = None,
-        capture: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Dict[Pair, float], Tuple[str, ...], Tuple[str, ...]]:
-        """Run the comparison phase only.
-
-        Returns ``(raw_distances, compared_ids, skipped_ids)`` where the
-        distances are *pre*-min–max FastDTW values on Z-scored series.
-        ``capture`` is the audit evidence dict (see :meth:`_normalise`).
-        """
-        if now is None:
-            now = self._latest
-        normalised, skipped, keys, scale_tag = self._normalise(now, capture)
-        with self._tracer.span("pairwise_dtw") as span:
-            compared = tuple(sorted(normalised))
-            cells_before = self._c_cells.value
-            if self._engine is not None:
-                raw, stats = self._engine.compare(normalised, keys, scale_tag)
-                span.set_attribute("cache_hits", stats.cache_hits)
-            else:
-                raw = {}
-                for idx, a in enumerate(compared):
-                    for b in compared[idx + 1 :]:
-                        raw[(a, b)] = self._pair_distance(
-                            normalised[a], normalised[b]
-                        )
-            span.set_attribute("pairs", len(raw))
-            span.set_attribute("cells", int(self._c_cells.value - cells_before))
-        return raw, compared, tuple(sorted(skipped))
+        return normalised, skipped, scale_tag
 
     def detect(
         self,
@@ -739,122 +629,63 @@ class VoiceprintDetector:
             raise ValueError(f"density must be non-negative, got {density}")
         if now is None:
             now = self._latest if self._buffers else 0.0
-        incremental = self._engine is not None and self._engine.can_incremental
-        pruning = self._engine is not None and self._engine.can_prune
+        engine = self._engine
         sink = default_audit_log()
         capture: Optional[Dict[str, Any]] = {} if sink is not None else None
-        if self._engine is not None:
-            self._engine.record_provenance = sink is not None
+        engine.record_provenance = sink is not None
+        # Incremental comparison (DESIGN.md §5f) also needs the raw
+        # windows, their bytes and timestamps, and the normalisation
+        # parameters; its flags are byte-identical to the exact path.
+        inc_state: Optional[Dict[str, Any]] = (
+            {} if engine.can_incremental else None
+        )
         stopwatch = Stopwatch(self._h_detect_ms)
         with self._tracer.span("detection", density=float(density)) as root, \
                 stopwatch:
-            if incremental:
-                assert self._engine is not None
-                # Incremental comparison: per-identity envelope states
-                # slide with the window, unchanged pairs carry the
-                # previous period's exact distance, and bound-undecided
-                # pairs run early-abandon DTW seeded with the decision
-                # boundary.  Flags stay byte-identical to the exact
-                # path; surrogate distances appear only for pairs whose
-                # windows overlapped the previous period (DESIGN.md §5f).
-                inc_state: Dict[str, Any] = {}
-                normalised, skipped_list, keys, scale_tag = self._normalise(
-                    now, capture, inc_out=inc_state
-                )
-                assert keys is not None
-                compared = tuple(sorted(normalised))
-                skipped = tuple(sorted(skipped_list))
-                cutoff = self.threshold.threshold_at(density)
-                with self._tracer.span("pairwise_dtw") as span:
-                    cells_before = self._c_cells.value
-                    raw, flags, stats = self._engine.compare_incremental(
+            normalised, skipped_list, scale_tag = self._normalise(
+                now, capture, inc_state
+            )
+            compared = tuple(sorted(normalised))
+            skipped = tuple(sorted(skipped_list))
+            cutoff = float(self.threshold.threshold_at(density))
+            flags: Optional[Dict[Pair, bool]] = None
+            with self._tracer.span("pairwise_dtw") as span:
+                if inc_state is None:
+                    raw, stats = engine.compare(normalised)
+                else:
+                    raw, flags, stats = engine.compare_incremental(
                         normalised,
                         inc_state["raw"],
                         inc_state["times"],
-                        keys,
+                        inc_state["keys"],
                         scale_tag,
                         inc_state["params"],
-                        float(cutoff),
+                        cutoff,
                         self.config.threshold_on,
                     )
-                    span.set_attribute("pairs", len(raw))
-                    span.set_attribute("cells", int(self._c_cells.value - cells_before))
-                    span.set_attribute("pruned", stats.pruned)
-                    span.set_attribute("cache_hits", stats.cache_hits)
-                    span.set_attribute("incremental", stats.incremental)
-                    span.set_attribute("abandoned", stats.abandoned)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    sybil_pairs = tuple(
-                        pair for pair in sorted(flags) if flags[pair]
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
-            elif pruning:
-                assert self._engine is not None
-                # Threshold-aware comparison: the engine decides pairs
-                # from the bound cascade wherever the bounds cannot
-                # change the flagged set, so the spans below see
-                # surrogate distances for pruned pairs (bit-identical
-                # flags, see DESIGN.md).
-                normalised, skipped_list, keys, scale_tag = self._normalise(
-                    now, capture
-                )
-                compared = tuple(sorted(normalised))
-                skipped = tuple(sorted(skipped_list))
-                cutoff = self.threshold.threshold_at(density)
-                with self._tracer.span("pairwise_dtw") as span:
-                    cells_before = self._c_cells.value
-                    raw, flags, stats = self._engine.compare_decided(
-                        normalised,
-                        keys,
-                        scale_tag,
-                        float(cutoff),
-                        self.config.threshold_on,
-                    )
-                    span.set_attribute("pairs", len(raw))
-                    span.set_attribute("cells", int(self._c_cells.value - cells_before))
-                    span.set_attribute("pruned", stats.pruned)
-                    span.set_attribute("cache_hits", stats.cache_hits)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    sybil_pairs = tuple(
-                        pair for pair in sorted(flags) if flags[pair]
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
-            else:
-                raw, compared, skipped = self.compare(now=now, capture=capture)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    cutoff = self.threshold.threshold_at(density)
-                    judged = (
-                        distances if self.config.threshold_on == "normalized" else raw
-                    )
-                    sybil_pairs = tuple(
-                        pair for pair, d in sorted(judged.items()) if d <= cutoff
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
+                span.set_attribute("pairs", stats.pairs)
+                span.set_attribute("cells", stats.cells)
+                span.set_attribute("pruned", stats.pruned)
+                span.set_attribute("incremental", stats.incremental)
+                span.set_attribute("abandoned", stats.abandoned)
+            with self._tracer.span("minmax"):
+                distances = minmax_distances(raw)
             judged = (
                 distances if self.config.threshold_on == "normalized" else raw
             )
+            with self._tracer.span("threshold") as span:
+                if flags is None:
+                    flags = {pair: d <= cutoff for pair, d in judged.items()}
+                sybil_pairs = tuple(pair for pair in sorted(flags) if flags[pair])
+                sybil_ids = frozenset(
+                    identity for pair in sybil_pairs for identity in pair
+                )
+                span.set_attribute("threshold", cutoff)
+                span.set_attribute("flagged", len(sybil_ids))
             epsilon = get_near_miss_epsilon()
             margins: Dict[Pair, float] = {}
             for pair, distance in judged.items():
-                margin = signed_margin(distance, float(cutoff))
+                margin = signed_margin(distance, cutoff)
                 margins[pair] = margin
                 self._h_margin.observe(margin)
                 self._h_margin_abs.observe(abs(margin))
@@ -865,7 +696,7 @@ class VoiceprintDetector:
         report = DetectionReport(
             timestamp=float(now),
             density=float(density),
-            threshold=float(cutoff),
+            threshold=cutoff,
             raw_distances=raw,
             distances=distances,
             sybil_pairs=sybil_pairs,
@@ -890,13 +721,9 @@ class VoiceprintDetector:
                     make_detection_bundle(
                         report=report,
                         config=self.config,
-                        scale_tag=(capture or {}).get("scale_tag", ""),
+                        scale_tag=scale_tag,
                         series=(capture or {}).get("series", {}),
-                        provenance=(
-                            self._engine.last_provenance
-                            if self._engine is not None
-                            else None
-                        ),
+                        provenance=engine.last_provenance,
                         observer=observer,
                         period=period,
                         store_windows=sink.store_windows,
@@ -916,5 +743,4 @@ class VoiceprintDetector:
         self._buffers.clear()
         self._latest = float("-inf")
         self._next_sweep_t = float("-inf")
-        if self._engine is not None:
-            self._engine.clear_incremental()
+        self._engine.clear_incremental()

@@ -110,9 +110,10 @@ class RunningStats:
     Maintains the running mean and the sum of squared deviations (``M2``)
     of the samples currently inside the window, updated in O(1) per
     ``add``/``remove`` instead of O(window) per period.  This is the
-    screening-layer counterpart of :func:`zscore`: the incremental engine
-    uses it to track per-identity window statistics between detection
-    periods without re-reducing the whole window.
+    screening-layer counterpart of :func:`zscore`.  Nothing in the
+    detector uses it: the incremental engine's ``_IdentityState`` keeps
+    the raw window, and ``_normalise`` recomputes ``np.mean``/``np.std``
+    for every window.
 
     The batch path computes ``np.mean``/``np.std`` over the full window;
     streaming accumulation follows a different float summation order, so

@@ -1,69 +1,51 @@
-"""Fast pairwise comparison engine for the Voiceprint comparison phase.
+"""Pairwise comparison engine for the Voiceprint comparison phase.
 
 The paper's comparison phase (Section IV-C, Algorithm 1) measures a DTW
-distance for every pair of heard identities — O(n²) FastDTW runs per
+distance for every pair of heard identities — O(n²) kernel runs per
 detection period, which is the entire computational cost of Voiceprint.
-This module makes that stage cheap without changing a single decision:
+:class:`PairwiseEngine` makes that stage cheap without changing a single
+decision, through exactly two entry points:
 
-* :func:`dtw_banded_vec` — the Sakoe–Chiba banded DTW kernel relaxed
-  along anti-diagonals with numpy slice arithmetic instead of a
-  per-cell Python loop.  Every cell performs the identical IEEE-754
+* :meth:`PairwiseEngine.compare` — the exact distance of every pair
+  (evaluation, LDA training, Fig. 11).  Pairs sharing one ``(n, m)``
+  shape are relaxed together by :func:`dtw_banded_batch` — each
+  anti-diagonal becomes one ``(pairs × width)`` block op, with optimal
+  warp-path lengths tracked forward instead of storing the cost matrix
+  for traceback — and :func:`dtw_banded_vec` is the single-pair
+  anti-diagonal kernel.  Every cell performs the identical IEEE-754
   operations as the scalar DP (:func:`repro.core.fastdtw.dtw_banded_fast`
   over the same :func:`repro.core.fastdtw.sakoe_chiba_band` geometry),
-  so distances, warp paths, and the ``cells`` work metric are
-  *bit-identical*, not merely close.  Narrow bands make single-pair
-  diagonals too small for numpy to win, so the engine also carries
-  :func:`dtw_banded_batch`, which relaxes *all pairs of one shape at
-  once* — each anti-diagonal becomes one ``(pairs × width)`` block op —
-  and tracks optimal warp-path lengths forward instead of storing the
-  cost matrix for traceback.
+  so distances, path lengths and the ``cells`` work metric are
+  *bit-identical*, not merely close.
 
-* **Bound cascade** — cheap lower bounds (an LB_Kim-style first/last
-  bound and LB_Keogh-style band-envelope bounds in both directions) and
-  a cheap upper bound (the cost of an explicit monotone path inside the
-  band) sandwich the banded-DTW distance.  When the sandwich lands
-  clearly on one side of the decision threshold the pair is *decided
-  without running DTW at all*.  For the paper-default min–max-normalised
-  threshold (Eq. 8) the decision region depends on the per-report
-  min/max distance, so the engine first pins those down exactly by an
-  adaptive best-bound-first refinement, then decides the remaining
-  pairs from their bounds (see ``DESIGN.md`` for the proof sketch).
+* :meth:`PairwiseEngine.compare_incremental` — threshold-aware
+  comparison priced by what changed since the previous period (the
+  ``repro serve`` path).  Per-identity envelope state and per-pair
+  :class:`IncrementalPairState` persist *across* detection periods, so
+  a 1 s recheck whose windows slid by a handful of beacons pays for the
+  new beacons only: envelopes update by shifting the overlapping prefix
+  instead of rebuilding, unchanged windows carry the previous period's
+  exact distance forward (``incremental-carry``), cheap lower bounds
+  (LB_Kim plus band-envelope bounds in both directions) and an upper
+  bound (the cost of one explicit in-band path) decide pairs that sit
+  clearly on one side of the decision boundary (``pruned-*``), and the
+  rest run :func:`dtw_banded_batch_abandon` — a banded kernel that
+  stops once the accumulated cost proves the pair sits above the
+  boundary (``early-abandon``).  Flag sets stay byte-identical to
+  :meth:`PairwiseEngine.compare` followed by the threshold rule; see
+  DESIGN.md §5a and §5f for the invariants and the correctness argument.
 
-* **Incremental pair cache** — an LRU cache keyed by per-identity
-  window fingerprints (the exact bytes of the normalised series, plus
-  the common scale factor), so a detection period only recomputes pairs
-  whose series actually changed since the previous period.  A hit
-  returns the stored distance/path-length verbatim — bit-identical to
-  recomputation.
-
-* **Optional parallel executor** — a bounded thread pool (off by
-  default) for the exact kernel evaluations that survive the cascade.
-
-* **Incremental mode** (off by default) — per-identity envelope state
-  and per-pair :class:`IncrementalPairState` persisted *across*
-  detection periods, so a 1 s recheck whose windows slid by a handful
-  of beacons pays for the new beacons only: envelopes update by
-  shifting the overlapping prefix instead of rebuilding, unchanged
-  windows carry the previous period's exact distance forward
-  (``incremental-carry``), and pairs whose verdict the bounds cannot
-  flip run :func:`dtw_banded_batch_abandon` — a banded kernel that
-  stops after a few anti-diagonals once the accumulated cost proves
-  the pair sits above the decision boundary (``early-abandon``).
-  Flag sets stay byte-identical to the exact path; see DESIGN.md §5f
-  for the invariants and the correctness argument.
-
-Everything is instrumented through :mod:`repro.obs` (pairs pruned,
-cache hits/misses, cells relaxed and saved) and configured through
-:class:`repro.core.detector.DetectorConfig` knobs or the process-wide
-defaults (:func:`set_engine_defaults`, wired to CLI flags).
+Engine work is instrumented through :mod:`repro.obs` (pairs, cells
+relaxed and saved, carries, bound decisions, abandons); the detector
+picks the entry point from
+:attr:`repro.core.detector.DetectorConfig.pairwise_incremental`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -81,10 +63,8 @@ from .native import (
 from .normalization import _SIGMA_FLOOR
 
 __all__ = [
-    "EngineDefaults",
     "IncrementalPairState",
     "PROV_ABANDON",
-    "PROV_CACHE",
     "PROV_EXACT",
     "PROV_INCREMENTAL",
     "PROV_PRUNED_DEGENERATE",
@@ -96,11 +76,8 @@ __all__ = [
     "dtw_banded_batch",
     "dtw_banded_batch_abandon",
     "dtw_banded_vec",
-    "dtw_band_lower_bound",
     "dtw_band_upper_bound",
     "lb_kim",
-    "get_engine_defaults",
-    "set_engine_defaults",
 ]
 
 Pair = Tuple[str, str]
@@ -109,7 +86,6 @@ Pair = Tuple[str, str]
 #: :attr:`PairwiseEngine.record_provenance` is on — how the reported
 #: distance was obtained (see ``repro.obs.audit``).
 PROV_EXACT = "exact"
-PROV_CACHE = "cache-hit"
 PROV_PRUNED_LOWER = "pruned-lower"
 PROV_PRUNED_UPPER = "pruned-upper"
 PROV_PRUNED_DEGENERATE = "pruned-degenerate"
@@ -146,84 +122,6 @@ _ABANDON_STRIDE = 8
 #: the switch is purely a speed heuristic.  (The batched kernel does
 #: not need this: it amortises the per-diagonal overhead across pairs.)
 _VEC_MIN_AVG_WIDTH = 32
-
-
-# ----------------------------------------------------------------------
-# Process-wide engine defaults (CLI-configurable)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EngineDefaults:
-    """Process-wide defaults for detectors that leave engine knobs unset.
-
-    Attributes:
-        engine: Use the pairwise engine (vectorised kernel + cache)
-            behind ``VoiceprintDetector.compare``.  Disabling falls back
-            to the legacy per-pair Python loop.
-        pruning: Decide pairs from the bound cascade inside ``detect``
-            when the bounds land clearly outside the decision region.
-            Off by default because pruned pairs carry *bound surrogates*
-            instead of exact distances in ``DetectionReport`` (decisions
-            are unaffected; analysis/training consumers that read raw
-            distances should leave this off — see DESIGN.md).
-        incremental: Persist per-identity envelopes and per-pair state
-            across detection periods and decide sliding-window rechecks
-            from carries, bounds, and early-abandon DTW.  Off by default
-            for the same reason as ``pruning``: decided-from-bounds and
-            abandoned pairs carry surrogate distances (flag sets are
-            unaffected — see DESIGN.md §5f).
-        cache_size: Maximum cached pair results (LRU).  0 disables.
-        workers: Thread-pool width for exact kernel evaluations.
-            0 runs inline.
-    """
-
-    engine: bool = True
-    pruning: bool = False
-    incremental: bool = False
-    cache_size: int = 256
-    workers: int = 0
-
-    def __post_init__(self) -> None:
-        if self.cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-
-
-_defaults = EngineDefaults()
-
-
-def get_engine_defaults() -> EngineDefaults:
-    """The current process-wide pairwise-engine defaults."""
-    return _defaults
-
-
-def set_engine_defaults(
-    engine: Optional[bool] = None,
-    pruning: Optional[bool] = None,
-    incremental: Optional[bool] = None,
-    cache_size: Optional[int] = None,
-    workers: Optional[int] = None,
-) -> EngineDefaults:
-    """Override process-wide engine defaults; ``None`` keeps a field.
-
-    Returns the *previous* defaults so callers (e.g. the CLI, tests)
-    can restore them.
-    """
-    global _defaults
-    previous = _defaults
-    updates = {
-        key: value
-        for key, value in (
-            ("engine", engine),
-            ("pruning", pruning),
-            ("incremental", incremental),
-            ("cache_size", cache_size),
-            ("workers", workers),
-        )
-        if value is not None
-    }
-    _defaults = replace(previous, **updates)
-    return previous
 
 
 # ----------------------------------------------------------------------
@@ -721,7 +619,7 @@ def dtw_banded_batch_abandon(
 
 
 # ----------------------------------------------------------------------
-# Bound cascade: LB_Kim / LB_Keogh-style lower bounds, path upper bound
+# Bound sandwich: LB_Kim / LB_Keogh-style lower bounds, path upper bound
 # ----------------------------------------------------------------------
 def lb_kim(x: np.ndarray, y: np.ndarray) -> float:
     """Constant-time lower bound on any DTW distance (LB_Kim variant).
@@ -759,37 +657,6 @@ def _envelope_exceedance(
     env_hi = windows.max(axis=1)[starts]
     d = np.maximum(query - env_hi, 0.0) + np.maximum(env_lo - query, 0.0)
     return float(d @ d)
-
-
-def dtw_band_lower_bound(x: np.ndarray, y: np.ndarray, radius: int) -> float:
-    """Lower bound on the banded DTW distance of ``(x, y)``.
-
-    The max of three individually valid bounds:
-
-    * :func:`lb_kim` (first/last cells are on every path);
-    * the row-direction LB_Keogh generalisation: every warp path
-      matches ``x_i`` with some ``y_j`` inside row ``i``'s band
-      interval, so the squared exceedance of ``x_i`` over the interval
-      envelope is a per-row cost floor;
-    * the column-direction mirror (every path also visits every
-      column).
-
-    Unlike classic LB_Keogh this works for unequal lengths, because the
-    envelopes come from the actual :func:`sakoe_chiba_band` intervals.
-    """
-    n, m = x.size, y.size
-    lo, hi, monotone, _ = _band_arrays(n, m, radius)
-    bound = lb_kim(x, y)
-    bound = max(bound, _envelope_exceedance(x, y, lo - 1, hi - 1))
-    if monotone:
-        cols = np.arange(1, m + 1, dtype=np.int64)
-        row_hi = np.searchsorted(lo, cols, side="right")  # last row covering j
-        row_lo = np.searchsorted(hi, cols, side="left") + 1  # first row
-        if np.all(row_lo <= row_hi):
-            bound = max(
-                bound, _envelope_exceedance(y, x, row_lo - 1, row_hi - 1)
-            )
-    return bound
 
 
 def _ranges_to_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -926,37 +793,6 @@ def _envelope_starts(
 
 
 # ----------------------------------------------------------------------
-# LRU pair cache
-# ----------------------------------------------------------------------
-class _LRUCache:
-    """Tiny ordered-dict LRU mapping pair keys to kernel results."""
-
-    __slots__ = ("capacity", "_data")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict[tuple, Tuple[float, int, int]]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: tuple) -> Optional[Tuple[float, int, int]]:
-        entry = self._data.get(key)
-        if entry is not None:
-            self._data.move_to_end(key)
-        return entry
-
-    def put(self, key: tuple, value: Tuple[float, int, int]) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 @dataclass
@@ -967,10 +803,9 @@ class PairwiseStats:
         pairs: Identity pairs considered.
         exact: Pairs whose distance came from a kernel run.
         pruned: Pairs decided from bounds without running DTW.
-        cache_hits: Pairs answered from the incremental cache.
-        cache_misses: Kernel runs that went through an enabled cache.
         cells: DP cells actually relaxed by kernel runs.
-        cells_saved: DP cells avoided via cache hits and pruning.
+        cells_saved: DP cells avoided via carries, bound decisions and
+            early abandons.
         incremental: Pairs whose exact distance was carried from the
             previous period's per-pair state (windows unchanged).
         abandoned: Kernel runs stopped early by the abandon threshold.
@@ -981,8 +816,6 @@ class PairwiseStats:
     pairs: int = 0
     exact: int = 0
     pruned: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     cells: int = 0
     cells_saved: int = 0
     incremental: int = 0
@@ -994,18 +827,11 @@ class PairwiseStats:
         self.pairs += other.pairs
         self.exact += other.exact
         self.pruned += other.pruned
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
         self.cells += other.cells
         self.cells_saved += other.cells_saved
         self.incremental += other.incremental
         self.abandoned += other.abandoned
         self.envelope_updates += other.envelope_updates
-
-    @property
-    def hit_rate(self) -> float:
-        """Cache hits per considered pair (0.0 when nothing compared)."""
-        return self.cache_hits / self.pairs if self.pairs else 0.0
 
 
 @dataclass(frozen=True)
@@ -1014,17 +840,16 @@ class _PairBounds:
 
     lower: float
     upper: float
-    cells: int  # kernel work a prune avoids
+    cells: int  # kernel work a bound decision avoids
 
 
 @dataclass
 class IncrementalPairState:
     """Last exact evaluation of one identity pair, kept across periods.
 
-    Keyed like the LRU cache — the stored window fingerprints and scale
-    tag must match the current period's exactly for the carried triple
-    to be reused — but stored per *identity pair*, so it survives cache
-    churn from unrelated pairs and can be dropped when an identity
+    The stored window fingerprints and scale tag must match the current
+    period's exactly for the carried triple to be reused.  State is
+    kept per *identity pair*, so it can be dropped when an identity
     leaves (:meth:`PairwiseEngine.drop_identity`).
 
     Attributes:
@@ -1067,11 +892,12 @@ class _IdentityState:
 
 
 class PairwiseEngine:
-    """Pairwise DTW evaluation with kernel, cache, bounds, and pool.
+    """Pairwise DTW evaluation: exact :meth:`compare` and
+    :meth:`compare_incremental`.
 
     One engine instance serves one detector; the kernel configuration
-    mirrors the detector's comparison knobs so cached entries are only
-    ever reused under identical semantics.
+    mirrors the detector's comparison knobs, so carried per-pair state
+    is only ever reused under identical semantics.
 
     Args:
         band_radius: Sakoe–Chiba half-width in samples, or ``None`` for
@@ -1079,13 +905,9 @@ class PairwiseEngine:
         use_exact_dtw: Use exact unconstrained DTW (ablations).
         fastdtw_radius: FastDTW refinement radius (band disabled only).
         normalize_by_path_length: Divide distances by warp-path length.
-        pruning: Allow bound-cascade decisions in
-            :meth:`compare_decided` (band mode only).
         incremental: Allow :meth:`compare_incremental` (band mode only):
             persistent per-identity envelopes + per-pair carry state +
             early-abandon kernel runs.
-        cache_size: LRU capacity in pairs; 0 disables caching.
-        workers: Thread-pool width for exact evaluations; 0 = inline.
         registry: Metrics registry (defaults to the process-global one).
         metric_prefix: Instrument-name prefix (``"detector"`` so the
             engine's counters extend the detector's existing family).
@@ -1105,10 +927,7 @@ class PairwiseEngine:
         use_exact_dtw: bool = False,
         fastdtw_radius: int = 1,
         normalize_by_path_length: bool = True,
-        pruning: bool = False,
         incremental: bool = False,
-        cache_size: int = 256,
-        workers: int = 0,
         registry: Optional[MetricsRegistry] = None,
         metric_prefix: str = "detector",
     ) -> None:
@@ -1116,22 +935,19 @@ class PairwiseEngine:
         self.use_exact_dtw = use_exact_dtw
         self.fastdtw_radius = fastdtw_radius
         self.normalize_by_path_length = normalize_by_path_length
-        self.pruning = pruning
         self.incremental = incremental
         if incremental:
             # Pay the one-time native-backend compile (if any) here, at
             # construction, so the first detection period isn't billed
             # for it.  A failed build just means numpy kernels.
             native_warmup()
-        self.workers = workers
-        self._cache = _LRUCache(cache_size) if cache_size > 0 else None
         self._pair_states: "OrderedDict[Pair, IncrementalPairState]" = (
             OrderedDict()
         )
         self._identity_states: "OrderedDict[str, _IdentityState]" = OrderedDict()
         self.stats = PairwiseStats()
         #: When True, each compare call leaves a per-pair provenance map
-        #: in :attr:`last_provenance` (tag + cache key + deciding bound)
+        #: in :attr:`last_provenance` (tag + deciding bound)
         #: for the audit trail.  Off by default: the hot path then pays
         #: one boolean check per call and builds nothing.
         self.record_provenance = False
@@ -1141,8 +957,6 @@ class PairwiseEngine:
         self._c_pairs = metrics.counter(f"{prefix}.pairs_compared")
         self._c_exact = metrics.counter(f"{prefix}.pairs_exact")
         self._c_pruned = metrics.counter(f"{prefix}.pairs_pruned")
-        self._c_hits = metrics.counter(f"{prefix}.cache_hits")
-        self._c_misses = metrics.counter(f"{prefix}.cache_misses")
         self._c_cells = metrics.counter(f"{prefix}.dtw_cells")
         self._c_cells_saved = metrics.counter(f"{prefix}.cells_saved")
         self._c_incremental = metrics.counter(f"{prefix}.pairs_incremental")
@@ -1151,31 +965,12 @@ class PairwiseEngine:
 
     # -- properties -----------------------------------------------------
     @property
-    def cache_enabled(self) -> bool:
-        """Whether the incremental pair cache is active."""
-        return self._cache is not None
-
-    @property
-    def cache_len(self) -> int:
-        """Number of cached pair results."""
-        return len(self._cache) if self._cache is not None else 0
-
-    @property
-    def can_prune(self) -> bool:
-        """Bound-cascade decisions are sound only for the banded kernel
-        (the bounds are built from the same band geometry; FastDTW's
-        refinement window need not contain the upper-bound path)."""
-        return (
-            self.pruning
-            and self.band_radius is not None
-            and not self.use_exact_dtw
-        )
-
-    @property
     def can_incremental(self) -> bool:
-        """Incremental decisions need the banded kernel for the same
-        reason pruning does: envelopes, abandon thresholds, and bounds
-        are all derived from the Sakoe–Chiba band geometry."""
+        """Incremental decisions are sound only for the banded kernel:
+        envelopes, abandon thresholds, and bounds are all derived from
+        the Sakoe–Chiba band geometry (FastDTW's refinement window need
+        not contain the upper-bound path, and the banded bounds do not
+        apply to the unconstrained matrix)."""
         return (
             self.incremental
             and self.band_radius is not None
@@ -1186,11 +981,6 @@ class PairwiseEngine:
     def incremental_state_len(self) -> int:
         """Number of per-pair carry states currently held."""
         return len(self._pair_states)
-
-    def clear_cache(self) -> None:
-        """Drop every cached pair result."""
-        if self._cache is not None:
-            self._cache.clear()
 
     def clear_incremental(self) -> None:
         """Drop all per-pair and per-identity incremental state."""
@@ -1228,46 +1018,11 @@ class PairwiseEngine:
             return distance / path_len
         return distance
 
-    def _pair_key(
-        self,
-        a: str,
-        b: str,
-        keys: Optional[Mapping[str, bytes]],
-        scale_tag: str,
-    ) -> Optional[tuple]:
-        if self._cache is None or keys is None:
-            return None
-        return (keys[a], keys[b], scale_tag)
-
-    def _lookup(
-        self, key: Optional[tuple], stats: PairwiseStats
-    ) -> Optional[float]:
-        """Cache probe; returns the finished distance on a hit."""
-        if key is None or self._cache is None:
-            return None
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        distance, path_len, cells = entry
-        stats.cache_hits += 1
-        stats.cells_saved += cells
-        return self._finish(distance, path_len)
-
-    def _compute(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        key: Optional[tuple],
-        stats: PairwiseStats,
-        triple: Optional[Tuple[float, int, int]] = None,
+    def _exact(
+        self, triple: Tuple[float, int, int], stats: PairwiseStats
     ) -> float:
-        """Exact evaluation (kernel run unless ``triple`` is supplied)."""
-        if triple is None:
-            triple = _result_triple(self._kernel(a, b))
+        """Account one kernel run's triple; returns its finished distance."""
         distance, path_len, cells = triple
-        if key is not None and self._cache is not None:
-            self._cache.put(key, triple)
-            stats.cache_misses += 1
         stats.exact += 1
         stats.cells += cells
         return self._finish(distance, path_len)
@@ -1286,8 +1041,6 @@ class PairwiseEngine:
         self._c_pairs.inc(stats.pairs)
         self._c_exact.inc(stats.exact)
         self._c_pruned.inc(stats.pruned)
-        self._c_hits.inc(stats.cache_hits)
-        self._c_misses.inc(stats.cache_misses)
         self._c_cells.inc(stats.cells)
         self._c_cells_saved.inc(stats.cells_saved)
         self._c_incremental.inc(stats.incremental)
@@ -1296,58 +1049,31 @@ class PairwiseEngine:
 
     # -- exact all-pairs comparison --------------------------------------
     def compare(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        keys: Optional[Mapping[str, bytes]] = None,
-        scale_tag: str = "",
+        self, arrays: Mapping[str, np.ndarray]
     ) -> Tuple[Dict[Pair, float], PairwiseStats]:
         """Exact pairwise distances for every identity pair.
 
         Args:
-            arrays: Identity → normalised series (as the scalar
-                comparison loop would see them).
-            keys: Identity → cache fingerprint (normally the exact bytes
-                of the pre-scale series window); ``None`` disables the
-                cache for this call.
-            scale_tag: Fingerprint of the common scale divisor shared by
-                every series this call (empty when the scale is baked
-                into the arrays).
+            arrays: Identity → normalised series.
 
         Returns:
             ``(distances, stats)`` with pairs in sorted-identity order —
-            values bit-identical to the legacy per-pair loop.
+            values bit-identical to running the reference kernel
+            (:func:`repro.core.fastdtw.dtw_banded_fast`, FastDTW or exact
+            DTW, per the engine's configuration) on each pair.
         """
         stats = PairwiseStats()
         prov = self._begin_provenance()
         ids = sorted(arrays)
+        pairs: List[Pair] = [
+            (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]
+        ]
+        stats.pairs = len(pairs)
         distances: Dict[Pair, float] = {}
-        pending: List[Tuple[Pair, Optional[tuple]]] = []
-        for index, a in enumerate(ids):
-            for b in ids[index + 1 :]:
-                stats.pairs += 1
-                key = self._pair_key(a, b, keys, scale_tag)
-                hit = self._lookup(key, stats)
-                if hit is not None:
-                    distances[(a, b)] = hit
-                    if prov is not None:
-                        prov[(a, b)] = {
-                            "tag": PROV_CACHE,
-                            "key": key,
-                        }
-                else:
-                    distances[(a, b)] = _INF  # placeholder, keeps order
-                    pending.append(((a, b), key))
-        for (pair, key), triple in zip(
-            pending, self._run_kernels([p for p, _ in pending], arrays)
-        ):
-            distances[pair] = self._compute(
-                arrays[pair[0]], arrays[pair[1]], key, stats, triple=triple
-            )
+        for pair, triple in zip(pairs, self._run_kernels(pairs, arrays)):
+            distances[pair] = self._exact(triple, stats)
             if prov is not None:
-                prov[pair] = {
-                    "tag": PROV_EXACT,
-                    "key": key,
-                }
+                prov[pair] = {"tag": PROV_EXACT}
         self._flush(stats)
         return distances, stats
 
@@ -1358,295 +1084,30 @@ class PairwiseEngine:
 
         In banded mode, pairs sharing one ``(n, m)`` shape are relaxed
         together through :func:`dtw_banded_batch`; singleton shapes use
-        the per-pair kernel.  Tasks optionally spread over the thread
-        pool; results always come back in ``pairs`` order.
+        the per-pair kernel.  Results come back in ``pairs`` order.
         """
-        if not pairs:
-            return []
-        banded = self.band_radius is not None and not self.use_exact_dtw
-        tasks: List[List[int]] = []
-        if banded:
-            groups: Dict[Tuple[int, int], List[int]] = {}
-            for index, (a, b) in enumerate(pairs):
-                shape = (arrays[a].size, arrays[b].size)
-                groups.setdefault(shape, []).append(index)
-            for indices in groups.values():
-                if self.workers > 1 and len(indices) > 2 * self.workers:
-                    step = -(-len(indices) // self.workers)  # ceil division
-                    tasks.extend(
-                        indices[i : i + step] for i in range(0, len(indices), step)
-                    )
-                else:
-                    tasks.append(indices)
-        else:
-            tasks = [[index] for index in range(len(pairs))]
-
-        def run(indices: List[int]) -> List[Tuple[float, int, int]]:
-            if banded and len(indices) > 1:
-                assert self.band_radius is not None
-                return dtw_banded_batch(
+        if self.band_radius is None or self.use_exact_dtw:
+            return [
+                _result_triple(self._kernel(arrays[a], arrays[b]))
+                for a, b in pairs
+            ]
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for index, (a, b) in enumerate(pairs):
+            groups.setdefault((arrays[a].size, arrays[b].size), []).append(index)
+        results: List[Tuple[float, int, int]] = [(_INF, 0, 0)] * len(pairs)
+        for indices in groups.values():
+            if len(indices) > 1:
+                triples = dtw_banded_batch(
                     [arrays[pairs[i][0]] for i in indices],
                     [arrays[pairs[i][1]] for i in indices],
                     self.band_radius,
                 )
-            a, b = pairs[indices[0]]
-            return [_result_triple(self._kernel(arrays[a], arrays[b]))]
-
-        if self.workers > 0 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outputs = list(pool.map(run, tasks))
-        else:
-            outputs = [run(task) for task in tasks]
-        results: List[Optional[Tuple[float, int, int]]] = [None] * len(pairs)
-        for indices, output in zip(tasks, outputs):
-            for index, triple in zip(indices, output):
+            else:
+                a, b = pairs[indices[0]]
+                triples = [_result_triple(self._kernel(arrays[a], arrays[b]))]
+            for index, triple in zip(indices, triples):
                 results[index] = triple
-        assert all(triple is not None for triple in results)
-        return results  # type: ignore[return-value]
-
-    # -- threshold-aware comparison (bound cascade) ----------------------
-    def compare_decided(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        keys: Optional[Mapping[str, bytes]],
-        scale_tag: str,
-        cutoff: float,
-        threshold_on: str,
-    ) -> Tuple[Dict[Pair, float], Dict[Pair, bool], PairwiseStats]:
-        """Flag every pair against the threshold, running DTW lazily.
-
-        Produces exactly the flag set the exact pairwise loop followed
-        by the threshold rule would (``distance <= cutoff``, on min–max
-        normalised distances when ``threshold_on == "normalized"``),
-        while replacing DTW runs with bound decisions wherever the
-        bounds cannot change the outcome.  Pairs decided from bounds
-        carry a *surrogate* distance (their deciding bound, clipped into
-        the observed ``[dmin, dmax]``) that sits on the correct side of
-        the threshold after min–max normalisation.
-
-        Requires :attr:`can_prune`; callers fall back to
-        :meth:`compare` + explicit thresholding otherwise.
-
-        Returns:
-            ``(distances, flags, stats)`` in sorted-identity order.
-        """
-        if not self.can_prune:
-            raise RuntimeError("compare_decided requires banded-kernel pruning")
-        assert self.band_radius is not None
-        radius = self.band_radius
-        stats = PairwiseStats()
-        prov = self._begin_provenance()
-        ids = sorted(arrays)
-        pairs: List[Pair] = [
-            (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]
-        ]
-        stats.pairs = len(pairs)
-        if not pairs:
-            self._flush(stats)
-            return {}, {}, stats
-
-        exact: Dict[Pair, float] = {}
-        pair_keys: Dict[Pair, Optional[tuple]] = {}
-        bounds: Dict[Pair, _PairBounds] = {}
-        # Pruned pairs never produce a kernel triple to cache, so repeat
-        # windows used to recompute their bounds from scratch every
-        # period (hit_rate 0.136 on the pruning benchmark).  Bounds are
-        # threshold-independent, so they are cached under a mode-tagged
-        # key ("bound" + the usual fingerprints) and the verdict +
-        # surrogate are re-derived from the cached sandwich — decisions
-        # stay identical under any cutoff or report min/max.
-        bound_cached: set = set()
-
-        def bound_cache_key(pair: Pair) -> Optional[tuple]:
-            key = pair_keys[pair]
-            if key is None or self._cache is None:
-                return None
-            return ("bound",) + key
-
-        def note_pruned(pair: Pair) -> None:
-            """Cache bookkeeping for a pair decided from its bounds."""
-            bkey = bound_cache_key(pair)
-            if bkey is None:
-                return
-            bound = bounds[pair]
-            if pair in bound_cached:
-                stats.cache_hits += 1
-            else:
-                assert self._cache is not None
-                self._cache.put(bkey, (bound.lower, bound.upper, bound.cells))
-                stats.cache_misses += 1
-
-        for pair in pairs:
-            a, b = pair
-            key = self._pair_key(a, b, keys, scale_tag)
-            pair_keys[pair] = key
-            hit = self._lookup(key, stats)
-            if hit is not None:
-                exact[pair] = hit
-                if prov is not None:
-                    prov[pair] = {
-                        "tag": PROV_CACHE,
-                        "key": key,
-                    }
-                continue
-            bkey = bound_cache_key(pair)
-            if bkey is not None:
-                assert self._cache is not None
-                cached = self._cache.get(bkey)
-                if cached is not None:
-                    bounds[pair] = _PairBounds(
-                        cached[0], cached[1], int(cached[2])
-                    )
-                    bound_cached.add(pair)
-                    continue
-            xa, xb = arrays[a], arrays[b]
-            n, m = xa.size, xb.size
-            lower = dtw_band_lower_bound(xa, xb, radius)
-            upper_cost, _upper_len = dtw_band_upper_bound(xa, xb, radius)
-            if self.normalize_by_path_length:
-                lower /= n + m - 1  # longest possible warp path
-                upper = upper_cost / max(n, m)  # shortest possible path
-            else:
-                upper = upper_cost
-            bounds[pair] = _PairBounds(lower, upper, band_cells(n, m, radius))
-
-        def run_exact(
-            pair: Pair, triple: Optional[Tuple[float, int, int]] = None
-        ) -> float:
-            value = self._compute(
-                arrays[pair[0]], arrays[pair[1]], pair_keys[pair], stats, triple
-            )
-            exact[pair] = value
-            del bounds[pair]
-            if prov is not None:
-                prov[pair] = {
-                    "tag": PROV_EXACT,
-                    "key": pair_keys[pair],
-                }
-            return value
-
-        def run_exact_batch(batch: List[Pair]) -> None:
-            for pair, triple in zip(batch, self._run_kernels(batch, arrays)):
-                run_exact(pair, triple)
-
-        flags: Dict[Pair, bool] = {}
-        surrogates: Dict[Pair, float] = {}
-
-        if threshold_on == "raw":
-            ambiguous: List[Pair] = []
-            for pair in pairs:
-                if pair in exact:
-                    continue
-                bound = bounds[pair]
-                if bound.upper <= cutoff:
-                    flags[pair] = True
-                    surrogates[pair] = bound.upper
-                    stats.pruned += 1
-                    stats.cells_saved += bound.cells
-                    note_pruned(pair)
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_PRUNED_UPPER,
-                            "bound": bound.upper,
-                        }
-                elif bound.lower > cutoff:
-                    flags[pair] = False
-                    surrogates[pair] = bound.lower
-                    stats.pruned += 1
-                    stats.cells_saved += bound.cells
-                    note_pruned(pair)
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_PRUNED_LOWER,
-                            "bound": bound.lower,
-                        }
-                else:
-                    ambiguous.append(pair)
-            run_exact_batch(ambiguous)
-            for pair, value in exact.items():
-                flags[pair] = value <= cutoff
-        else:  # "normalized": Eq. 8 min–max, then threshold
-            # Pin down the report's exact min and max distance by
-            # best-bound-first refinement: the true min cannot hide in a
-            # pair whose lower bound exceeds an already-computed value.
-            by_lower = sorted(bounds, key=lambda p: bounds[p].lower)
-            while by_lower:
-                by_lower = [p for p in by_lower if p in bounds]
-                if not by_lower:
-                    break
-                if exact and min(exact.values()) <= bounds[by_lower[0]].lower:
-                    break
-                run_exact(by_lower.pop(0))
-            by_upper = sorted(
-                bounds, key=lambda p: bounds[p].upper, reverse=True
-            )
-            while by_upper:
-                by_upper = [p for p in by_upper if p in bounds]
-                if not by_upper:
-                    break
-                if exact and max(exact.values()) >= bounds[by_upper[0]].upper:
-                    break
-                run_exact(by_upper.pop(0))
-            dmin = min(exact.values())
-            dmax = max(exact.values())
-            denom = dmax - dmin
-            if denom < _SIGMA_FLOOR:
-                # Degenerate min–max: every distance normalises to 0
-                # (maximal similarity), exactly as minmax() defines it.
-                flag_all = 0.0 <= cutoff
-                for pair in pairs:
-                    flags[pair] = flag_all
-                    if pair not in exact:
-                        bound = bounds[pair]
-                        surrogates[pair] = min(max(bound.lower, dmin), dmax)
-                        stats.pruned += 1
-                        stats.cells_saved += bound.cells
-                        note_pruned(pair)
-                        if prov is not None:
-                            prov[pair] = {
-                                "tag": PROV_PRUNED_DEGENERATE,
-                                "bound": bound.lower,
-                            }
-            else:
-                ambiguous = []
-                for pair in pairs:
-                    if pair in exact:
-                        continue
-                    bound = bounds[pair]
-                    if (bound.upper - dmin) / denom <= cutoff:
-                        flags[pair] = True
-                        surrogates[pair] = min(bound.upper, dmax)
-                        stats.pruned += 1
-                        stats.cells_saved += bound.cells
-                        note_pruned(pair)
-                        if prov is not None:
-                            prov[pair] = {
-                                "tag": PROV_PRUNED_UPPER,
-                                "bound": bound.upper,
-                            }
-                    elif (bound.lower - dmin) / denom > cutoff:
-                        flags[pair] = False
-                        surrogates[pair] = max(bound.lower, dmin)
-                        stats.pruned += 1
-                        stats.cells_saved += bound.cells
-                        note_pruned(pair)
-                        if prov is not None:
-                            prov[pair] = {
-                                "tag": PROV_PRUNED_LOWER,
-                                "bound": bound.lower,
-                            }
-                    else:
-                        ambiguous.append(pair)
-                run_exact_batch(ambiguous)
-                for pair, value in exact.items():
-                    flags[pair] = (value - dmin) / denom <= cutoff
-
-        distances = {
-            pair: exact[pair] if pair in exact else surrogates[pair]
-            for pair in pairs
-        }
-        self._flush(stats)
-        return distances, flags, stats
+        return results
 
     # -- incremental comparison (persistent state + early abandon) -------
     def _store_pair_state(
@@ -1757,14 +1218,23 @@ class PairwiseEngine:
         env_b: Optional[Tuple[np.ndarray, np.ndarray]],
         radius: int,
     ) -> float:
-        """:func:`dtw_band_lower_bound` served from persistent envelopes.
+        """Lower bound on the banded DTW distance, from persistent envelopes.
+
+        The max of individually valid bounds: :func:`lb_kim` (first and
+        last cells are on every path), the row-direction LB_Keogh
+        generalisation (every warp path matches ``xa_i`` with some
+        ``xb_j`` inside row ``i``'s band interval, so the squared
+        exceedance of ``xa_i`` over the interval envelope is a per-row
+        cost floor), and its column-direction mirror.  Unlike classic
+        LB_Keogh this works for unequal lengths, because the envelopes
+        come from the actual :func:`sakoe_chiba_band` intervals.
 
         ``env_a``/``env_b`` are the identities' normalised ``(lo, hi)``
         envelope arrays (``None`` when the window is no longer than the
         envelope width — the whole-series min/max then covers every
-        interval).  Directions whose band intervals outgrow the fixed
-        envelope width (unequal series lengths) fall back to computing
-        the envelope directly, exactly as the non-incremental bound.
+        interval).  A row direction whose band intervals outgrow the
+        fixed envelope width (unequal series lengths) computes its
+        envelope directly; such a column direction is skipped.
         """
         n, m = xa.size, xb.size
         bound = lb_kim(xa, xb)
@@ -1811,7 +1281,7 @@ class PairwiseEngine:
         and upper-path indices); each batched bound is bit-identical to
         the per-pair :meth:`_incremental_lower_bound` /
         :func:`dtw_band_upper_bound` result, so batching never changes
-        a pruning decision.  Remaining pairs fall back to the scalar
+        a bound decision.  Remaining pairs fall back to the scalar
         helpers.
         """
         width = 2 * radius + 1
@@ -1900,10 +1370,10 @@ class PairwiseEngine:
         """Threshold-aware comparison priced by what changed since last
         period.
 
-        The same flag contract as :meth:`compare_decided` — the flag
-        set is byte-identical to the exact pairwise loop followed by
-        the threshold rule — but the work is proportional to the *new*
-        beacons:
+        The flag set is byte-identical to :meth:`compare` followed by
+        the threshold rule (``distance <= cutoff``, on min–max
+        normalised distances when ``threshold_on == "normalized"``), but
+        the work is proportional to the *new* beacons:
 
         1. per-identity envelope states slide instead of rebuilding;
         2. pairs whose windows did not change carry the previous
@@ -1975,14 +1445,11 @@ class PairwiseEngine:
                 )
 
         exact: Dict[Pair, float] = {}
-        pair_keys: Dict[Pair, Optional[tuple]] = {}
         bounds: Dict[Pair, _PairBounds] = {}
         must_exact: List[Pair] = []
         need_bounds: List[Pair] = []
         for pair in pairs:
             a, b = pair
-            key = self._pair_key(a, b, keys, scale_tag)
-            pair_keys[pair] = key
             state = self._pair_states.get(pair)
             if (
                 state is not None
@@ -1995,24 +1462,8 @@ class PairwiseEngine:
                 stats.incremental += 1
                 stats.cells_saved += state.triple[2]
                 if prov is not None:
-                    prov[pair] = {
-                        "tag": PROV_INCREMENTAL,
-                        "key": key,
-                    }
+                    prov[pair] = {"tag": PROV_INCREMENTAL}
                 continue
-            if key is not None and self._cache is not None:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    stats.cache_hits += 1
-                    stats.cells_saved += entry[2]
-                    exact[pair] = self._finish(entry[0], entry[1])
-                    self._store_pair_state(pair, keys[a], keys[b], scale_tag, entry)
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_CACHE,
-                            "key": key,
-                        }
-                    continue
             if not (overlapped[a] and overlapped[b]):
                 # At least one window is fresh (no aligned overlap with
                 # the previous period).  Surrogate-producing shortcuts
@@ -2041,17 +1492,12 @@ class PairwiseEngine:
                     )[0][0]
                 else:
                     triple = _result_triple(self._kernel(arrays[a], arrays[b]))
-            value = self._compute(
-                arrays[a], arrays[b], pair_keys[pair], stats, triple=triple
-            )
+            value = self._exact(triple, stats)
             self._store_pair_state(pair, keys[a], keys[b], scale_tag, triple)
             exact[pair] = value
             bounds.pop(pair, None)
             if prov is not None:
-                prov[pair] = {
-                    "tag": PROV_EXACT,
-                    "key": pair_keys[pair],
-                }
+                prov[pair] = {"tag": PROV_EXACT}
             return value
 
         def run_batch(jobs: Dict[Pair, float]) -> Dict[Pair, Tuple[float, int]]:

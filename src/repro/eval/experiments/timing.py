@@ -104,11 +104,10 @@ def run_timing(
         threshold=ConstantThreshold(0.05), config=config, registry=registry
     )
     pair = _synthetic_neighbourhood(2, n_samples, rng)
-    x = pair[0].values
-    y = pair[1].values
+    arrays = {series.identity: series.values for series in pair}
     for _ in range(pair_repeats):
         with Stopwatch(pair_hist):
-            detector._pair_distance(x, y)
+            detector._engine.compare(arrays)
     pair_ms = pair_hist.summary()["mean"]
     assert pair_ms is not None
 

@@ -146,9 +146,9 @@ def set_parallel_defaults(
 ) -> ParallelDefaults:
     """Update the process-wide defaults; returns the previous values.
 
-    Mirrors ``repro.core.pairwise.set_engine_defaults``: the CLI sets
-    these once from ``--workers`` / ``--task-timeout`` and restores the
-    previous values on exit, so library users see no global drift.
+    The CLI sets these once from ``--workers`` / ``--task-timeout``
+    and restores the previous values on exit, so library users see no
+    global drift.
     Arguments left unset keep their current value.
     """
     global _DEFAULTS

@@ -18,8 +18,8 @@ structured audit bundle:
   the float64 little-endian bytes, exact by construction),
 * per-pair decision evidence — raw / min–max-normalised / judged DTW
   distance, the signed margin ``(distance - threshold) / threshold``,
-  the provenance tag (``exact`` kernel run, ``cache-hit`` with the
-  cache-key digest, or ``pruned-*`` with the deciding bound), the flag,
+  the provenance tag (``exact`` kernel run, ``incremental-carry``,
+  ``early-abandon`` or ``pruned-*`` with the deciding bound), the flag,
   and the confirmation outcome,
 * the detection context — density, threshold, band radius, kernel and
   normalisation configuration, ``scale_tag``.
@@ -170,32 +170,6 @@ def decode_window(text: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
-def _cache_key_digest(
-    key: Optional[tuple], memo: Dict[bytes, str]
-) -> Optional[str]:
-    """Loggable id for an engine cache key (None when uncached).
-
-    The raw key is ``(bytes_a, bytes_b, scale_tag)`` with the full
-    window bytes of both series — far too big to log, and hashing the
-    3 KiB concatenation per pair was the dominant audit-on hot-path
-    cost.  Instead each side's bytes are digested once per detection
-    (memoised across the O(n²) pairs that share them) and the key id is
-    the two truncated digests plus the scale tag — deterministic across
-    processes and runs, so a cache hit always reproduces the id of the
-    exact computation that populated the cache.
-    """
-    if key is None:
-        return None
-    bytes_a, bytes_b, scale_tag = key
-    digest_a = memo.get(bytes_a)
-    if digest_a is None:
-        digest_a = memo[bytes_a] = hashlib.sha256(bytes_a).hexdigest()
-    digest_b = memo.get(bytes_b)
-    if digest_b is None:
-        digest_b = memo[bytes_b] = hashlib.sha256(bytes_b).hexdigest()
-    return f"{digest_a[:24]}.{digest_b[:24]}.{scale_tag}"
-
-
 # ----------------------------------------------------------------------
 # Bundle construction (called from the detector hot path — keep lean)
 # ----------------------------------------------------------------------
@@ -221,7 +195,7 @@ def make_detection_bundle(
             divisor marks the constant-series degenerate case where the
             normalised window is all zeros (z-score σ-floor).
         provenance: Per-pair provenance from the engine (None ⇒ every
-            pair was an exact legacy-loop evaluation).
+            pair is recorded as an exact kernel run).
         observer: Observer id from :func:`get_audit_context`.
         period: Detection-period index from :func:`get_audit_context`.
         store_windows: Embed the raw window bytes (required for replay).
@@ -255,7 +229,6 @@ def make_detection_bundle(
         series_records[identity] = record
 
     pair_records: List[Dict[str, Any]] = []
-    key_memo: Dict[bytes, str] = {}
     for pair in sorted(raw):
         a, b = pair
         pair_prov = (provenance or {}).get(pair) or {"tag": "exact"}
@@ -274,9 +247,6 @@ def make_detection_bundle(
                 ),
                 "margin": report.margins.get(pair),
                 "provenance": pair_prov["tag"],
-                "cache_key": _cache_key_digest(
-                    pair_prov.get("key"), key_memo
-                ),
                 "bound": pair_prov.get("bound"),
                 "flagged": pair in flagged,
                 "confirmed_ids": [i for i in pair if i in sybil_ids],
@@ -563,9 +533,6 @@ def _replay_engine(bundle: Dict[str, Any]) -> Any:
         use_exact_dtw=bundle["use_exact_dtw"],
         fastdtw_radius=bundle["fastdtw_radius"],
         normalize_by_path_length=bundle["normalize_by_path_length"],
-        pruning=False,
-        cache_size=0,
-        workers=0,
         registry=MetricsRegistry(),
     )
 
@@ -600,8 +567,7 @@ def verify_bundle(bundle: Dict[str, Any]) -> List[Dict[str, Any]]:
     ``exact`` and ``incremental-carry`` records hold exact kernel
     distances and are re-run through a fresh engine.  Pairs decided
     from bounds or abandoned early are reported as skipped — their
-    recorded distance is a surrogate — and cache answers were already
-    verified when first computed.
+    recorded distance is a surrogate.
     """
     results: List[Dict[str, Any]] = []
     for record in bundle.get("pairs", ()):

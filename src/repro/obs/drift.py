@@ -231,8 +231,7 @@ def _beacon_interarrival(record: Dict[str, Any]) -> Optional[float]:
 #: Signal name -> extractor over one Snapshotter tick record.  These
 #: are the paper-grounded drift surfaces: the signed margin mean (the
 #: Fig. 14 stop-at-light failure collapses it toward the threshold),
-#: the near-miss rate (fragile verdicts), the pairwise cache hit rate
-#: (a workload/identity-churn shift), and beacon inter-arrival (a
+#: the near-miss rate (fragile verdicts), and beacon inter-arrival (a
 #: Collection-phase stall or flood).
 WATCHED_SIGNALS = {
     "margin_mean": lambda record: _hist_tick_mean(
@@ -240,9 +239,6 @@ WATCHED_SIGNALS = {
     ),
     "near_miss_rate": lambda record: _gauge(
         record, "rate.margin_near_miss_rate"
-    ),
-    "cache_hit_rate": lambda record: _gauge(
-        record, "rate.pairwise_cache_hit_rate"
     ),
     "beacon_interarrival_s": _beacon_interarrival,
     # Serve-only (absent ⇒ skipped): queue wait is the first stage to

@@ -8,7 +8,8 @@ Given an audit log written by ``--audit-out`` (see
 * the DTW warping path with its per-step cost decomposition
   (:func:`repro.core.dtw.path_cost_steps` over the recorded windows),
 * the signed margin rendered as a distance-to-threshold bar,
-* the prune/cache provenance of the recorded distance,
+* the provenance of the recorded distance (kernel run, carry, bound
+  decision or early abandon),
 * and, with ``--verify``, a bit-replay of every ``exact`` record
   through :mod:`repro.core.pairwise` (the contract check).
 
@@ -23,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from .audit import (
+    _REPLAYABLE_PROVENANCE,
     get_near_miss_epsilon,
     iter_pair_records,
     load_audit_log,
@@ -206,9 +208,7 @@ def render_pair_report(
     ]
     provenance = record["provenance"]
     detail = ""
-    if record.get("cache_key"):
-        detail = f"  (cache key {record['cache_key'][:16]}…)"
-    elif record.get("bound") is not None:
+    if record.get("bound") is not None:
         detail = f"  (deciding bound {record['bound']:.6g}; distance is a surrogate)"
     lines.append(f"prov    : {provenance}{detail}")
     for identity in (a, b):
@@ -223,7 +223,7 @@ def render_pair_report(
         )
         if "window_b64" in series:
             lines.append(f"          {sparkline(normalised_window(bundle, identity))}")
-    if provenance in ("exact", "cache-hit"):
+    if provenance in _REPLAYABLE_PROVENANCE:
         lines.extend(_dtw_section(bundle, record))
     else:
         lines.append(

@@ -45,7 +45,6 @@ _CHART_GROUPS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         (
             "pipeline.margin.signed.tick_mean",
             "rate.margin_near_miss_rate",
-            "rate.pairwise_cache_hit_rate",
             "health.flagged_pair_rate",
             "health.fragile_verdict_rate",
         ),

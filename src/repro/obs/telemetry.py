@@ -7,8 +7,8 @@ two runtime consumers, both stdlib-only and fully opt-in:
 * :class:`Snapshotter` — periodically diffs the
   :class:`~repro.obs.metrics.MetricsRegistry` against its previous
   snapshot and turns the deltas into **rates** (beacons/s,
-  detections/s, events/s, a windowed pairwise cache hit rate) plus the
-  current histogram quantiles.  Each tick appends one JSONL record and
+  detections/s, events/s, a windowed near-miss rate) plus the current
+  histogram quantiles.  Each tick appends one JSONL record and
   publishes the rates back into the registry as ``rate.*`` gauges, so
   the Prometheus exposition (and hence a Grafana panel) sees them with
   zero extra plumbing.
@@ -95,10 +95,6 @@ class SpanLatencyRecorder(SpanExporter):
 #: Counter-delta pairs the snapshotter derives ratio gauges from:
 #: gauge name -> (numerator counter, denominator counter).
 _RATIO_GAUGES = {
-    "rate.pairwise_cache_hit_rate": (
-        "detector.cache_hits",
-        "detector.pairs_compared",
-    ),
     # Fraction of this tick's verdicts that landed within the near-miss
     # margin ε of the threshold (see repro.obs.audit) — the windowed
     # fragility signal, scrapeable at /metrics like any rate.* gauge.

@@ -74,7 +74,7 @@ def _default_detector_config() -> DetectorConfig:
     # The service is the long-run deployment target, so it defaults to
     # the incremental engine (PR 7): per-period cost scales with new
     # beacons, not window size.
-    return DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
+    return DetectorConfig(pairwise_incremental=True)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_no_pairwise_engine_flags(self):
+        # The engine's path follows the command (exact for experiments,
+        # incremental for serve); no flag selects it.
+        parser = build_parser()
+        assert "--pairwise" not in parser.format_help()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--pairwise-incremental", "on", "list"])
+
 
 class TestExecution:
     def test_list(self, capsys):
@@ -504,9 +512,6 @@ class TestExplainCommand:
         assert "window  :" in out
 
     def test_pair_selector_shows_every_period(self, audit_log, capsys):
-        # --pair is a prefix of the top-level --pairwise-* flags; with
-        # abbreviation matching it would die as "ambiguous option"
-        # before reaching the explain subparser.
         import json
 
         bundle = json.loads(Path(audit_log).read_text().splitlines()[0])

@@ -256,7 +256,6 @@ class TestStaleIdentitySweep:
         config = DetectorConfig(
             observation_time=20.0,
             min_samples=2,
-            pairwise_engine=True,
             pairwise_incremental=True,
         )
         detector = VoiceprintDetector(config=config)

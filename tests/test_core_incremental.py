@@ -15,15 +15,11 @@ Covers the O(new-beacons) machinery end to end:
   guarantees (disjoint windows take the fully exact path, eviction
   bounds hold, ``drop_identity``/``clear_incremental``/``reset`` leave
   no stale carries);
-* the detector / experiment / CLI / audit plumbing: sliding
-  ``detect()`` flags match exact mode, disjoint periods reproduce
-  exact reports byte for byte (the fig11a grid, serial and under
-  ``eval.parallel``), ``--pairwise-incremental`` reaches the engine
-  defaults, and ``incremental-carry`` audit records replay
-  bit-identically.
+* the detector / experiment / audit plumbing: sliding ``detect()``
+  flags match exact mode, disjoint periods reproduce exact reports
+  byte for byte (the fig11a grid, serial and under ``eval.parallel``),
+  and ``incremental-carry`` audit records replay bit-identically.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -41,11 +37,10 @@ from repro.core.pairwise import (
     PROV_INCREMENTAL,
     PairwiseEngine,
     dtw_band_upper_bound,
-    get_engine_defaults,
-    set_engine_defaults,
 )
 from repro.core.thresholds import ConstantThreshold
 from repro.obs.metrics import MetricsRegistry
+
 
 _values = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -231,7 +226,6 @@ def _naive_reference(arrays, cutoff, threshold_on, radius=10):
 def _incremental_engine(**kwargs):
     kwargs.setdefault("band_radius", 10)
     kwargs.setdefault("incremental", True)
-    kwargs.setdefault("cache_size", 64)
     kwargs.setdefault("registry", _registry())
     return PairwiseEngine(**kwargs)
 
@@ -288,7 +282,7 @@ class TestCompareIncremental:
             else [0.0, values[0], values[len(values) // 2], values[-1] * 2.0]
         )
         for cutoff in cutoffs:
-            engine = _incremental_engine(cache_size=0)
+            engine = _incremental_engine()
             for arrays, raw, times, keys, params in (first, second):
                 _, flags, _ = engine.compare_incremental(
                     arrays, raw, times, keys, "s", params, cutoff, threshold_on
@@ -299,7 +293,7 @@ class TestCompareIncremental:
     def test_unchanged_windows_carry_with_provenance(self):
         rng = np.random.default_rng(3)
         t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine(cache_size=0)
+        engine = _incremental_engine()
         inputs = _window_inputs(t, streams, 0.0, 20.0)
         distances1, flags1, stats1 = engine.compare_incremental(
             *inputs[:2], inputs[2], inputs[3], "s", inputs[4], 0.1, "normalized"
@@ -323,7 +317,7 @@ class TestCompareIncremental:
     def test_scale_tag_change_invalidates_carries(self):
         rng = np.random.default_rng(4)
         t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine(cache_size=0)
+        engine = _incremental_engine()
         inputs = _window_inputs(t, streams, 0.0, 20.0)
         engine.compare_incremental(
             *inputs[:2], inputs[2], inputs[3], "scale-A", inputs[4], 0.1, "normalized"
@@ -361,7 +355,7 @@ class TestCompareIncremental:
         # byte-identical to the naive loop.
         rng = np.random.default_rng(6)
         t, streams = _sliding_scenario(rng, n_samples=450)
-        engine = _incremental_engine(cache_size=0)
+        engine = _incremental_engine()
         for start in (0.0, 21.0, 42.0):
             arrays, raw, times, keys, params = _window_inputs(
                 t, streams, start, start + 20.0
@@ -469,14 +463,9 @@ class TestDetectorIncremental:
         rng = np.random.default_rng(41)
         t, streams = _sliding_scenario(rng)
         threshold = 0.1 if threshold_on == "normalized" else 0.01
-        exact = _detector(
-            threshold, pairwise_engine=True, threshold_on=threshold_on
-        )
+        exact = _detector(threshold, threshold_on=threshold_on)
         incremental = _detector(
-            threshold,
-            pairwise_engine=True,
-            pairwise_incremental=True,
-            threshold_on=threshold_on,
+            threshold, pairwise_incremental=True, threshold_on=threshold_on
         )
         _feed(exact, t, streams)
         _feed(incremental, t, streams)
@@ -493,10 +482,8 @@ class TestDetectorIncremental:
         rng = np.random.default_rng(42)
         t, streams = _sliding_scenario(rng, n_samples=450)
         kwargs = {"observation_time": 10.0}
-        exact = _detector(pairwise_engine=True, **kwargs)
-        incremental = _detector(
-            pairwise_engine=True, pairwise_incremental=True, **kwargs
-        )
+        exact = _detector(**kwargs)
+        incremental = _detector(pairwise_incremental=True, **kwargs)
         _feed(exact, t, streams)
         _feed(incremental, t, streams)
         for now in (10.0, 20.5, 31.0, 41.5):
@@ -510,9 +497,7 @@ class TestDetectorIncremental:
         rng = np.random.default_rng(43)
         t, streams = _sliding_scenario(rng)
         registry = _registry()
-        detector = _detector(
-            registry=registry, pairwise_engine=True, pairwise_incremental=True
-        )
+        detector = _detector(registry=registry, pairwise_incremental=True)
         _feed(detector, t, streams)
         detector.detect(density=40.0, now=20.0)
         detector.detect(density=40.0, now=20.0)  # unchanged → carries
@@ -523,27 +508,24 @@ class TestDetectorIncremental:
     def test_reset_clears_incremental_state(self):
         rng = np.random.default_rng(44)
         t, streams = _sliding_scenario(rng)
-        detector = _detector(pairwise_engine=True, pairwise_incremental=True)
+        detector = _detector(pairwise_incremental=True)
         _feed(detector, t, streams)
         detector.detect(density=40.0, now=20.0)
         engine = detector._engine
-        assert engine is not None and engine.incremental_state_len > 0
+        assert engine.incremental_state_len > 0
         detector.reset()
         assert engine.incremental_state_len == 0
         assert len(engine._identity_states) == 0
 
     def test_config_and_defaults_plumbing(self):
-        explicit = _detector(pairwise_engine=True, pairwise_incremental=True)
-        assert explicit._engine is not None and explicit._engine.can_incremental
-        off = _detector(pairwise_engine=True, pairwise_incremental=False)
-        assert off._engine is not None and not off._engine.can_incremental
-        previous = set_engine_defaults(incremental=True)
-        try:
-            inherited = _detector(pairwise_engine=True)
-            assert inherited._engine is not None
-            assert inherited._engine.can_incremental
-        finally:
-            set_engine_defaults(incremental=previous.incremental)
+        assert _detector(pairwise_incremental=True)._engine.can_incremental
+        # The default configuration runs the exact engine.
+        assert DetectorConfig().pairwise_incremental is False
+        assert not _detector()._engine.can_incremental
+        fastdtw_mode = _detector(
+            pairwise_incremental=True, band_radius_samples=None
+        )
+        assert not fastdtw_mode._engine.can_incremental
 
 
 class TestFig11aGridIdentity:
@@ -568,55 +550,25 @@ class TestFig11aGridIdentity:
         )
 
     def test_serial_rows_identical(self):
-        want = self._rows(DetectorConfig(pairwise_engine=True))
-        got = self._rows(
-            DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
-        )
+        want = self._rows(DetectorConfig())
+        got = self._rows(DetectorConfig(pairwise_incremental=True))
         # Dataclass equality covers DR/FPR floats: the grid's rates —
         # and hence every per-period verdict behind them — match the
         # exact engine bit for bit.
         assert got == want
 
     def test_parallel_rows_identical_to_serial(self):
-        config = DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
+        config = DetectorConfig(pairwise_incremental=True)
         serial = self._rows(config)
         parallel = self._rows(config, workers=2)
         assert parallel == serial
 
 
-class TestCliIncrementalFlag:
-    def test_parser_accepts_on_off(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(
-            ["--pairwise-incremental", "on", "list"]
-        ).pairwise_incremental == "on"
-        assert parser.parse_args(
-            ["--pairwise-incremental", "off", "list"]
-        ).pairwise_incremental == "off"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--pairwise-incremental", "maybe", "list"])
-
-    def test_flag_reaches_engine_defaults_and_restores(self, monkeypatch):
-        from repro import cli
-
-        seen = {}
-
-        def probe(args):
-            seen["incremental"] = get_engine_defaults().incremental
-            return "ok"
-
-        monkeypatch.setitem(cli._HANDLERS, "list", probe)
-        before = get_engine_defaults().incremental
-        assert cli.main(["--pairwise-incremental", "on", "list"]) == 0
-        assert seen["incremental"] is True
-        assert get_engine_defaults().incremental == before  # restored
-
-
 class TestAuditIncrementalCarry:
-    def test_carry_records_replay_bit_identically(self):
-        from repro.obs.audit import start_default, stop_default, verify_bundle
+    @staticmethod
+    def _bundles():
+        """Audit bundles of two incremental detections of one window."""
+        from repro.obs.audit import start_default, stop_default
         from tests.test_obs_audit import make_detector
 
         start_default()
@@ -626,7 +578,12 @@ class TestAuditIncrementalCarry:
             detector.detect(density=40.0, now=20.0)  # unchanged → carries
         finally:
             log = stop_default()
-        first, second = log.bundles
+        return log.bundles
+
+    def test_carry_records_replay_bit_identically(self):
+        from repro.obs.audit import verify_bundle
+
+        first, second = self._bundles()
         assert all(r["status"] == "ok" for r in verify_bundle(first))
         carried = verify_bundle(second)
         assert carried
@@ -634,3 +591,13 @@ class TestAuditIncrementalCarry:
         # under the bit-replay obligation — and meet it.
         assert {r["provenance"] for r in carried} == {PROV_INCREMENTAL}
         assert all(r["status"] == "ok" for r in carried)
+
+    def test_carry_records_render_their_warp_path(self):
+        from repro.obs.explain import render_pair_report
+
+        _, carried = self._bundles()
+        record = carried["pairs"][0]
+        assert record["provenance"] == PROV_INCREMENTAL
+        # A carry holds an exact kernel result, so `repro explain`
+        # decomposes its warp path like a fresh exact record.
+        assert "path_len=" in render_pair_report(carried, record)

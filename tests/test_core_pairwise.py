@@ -1,33 +1,34 @@
-"""Tests for repro.core.pairwise — kernels, bounds, cache, pruning.
+"""Tests for repro.core.pairwise — kernels, bounds, compare, decisions.
 
-The engine's contract is *bit-equality*: everything it answers (kernel
-distances, cached values, flag sets under pruning) must be exactly what
-the legacy per-pair scalar loop would have produced, not merely close.
-The property tests below therefore compare with ``==`` on floats.
+The engine's contract is *bit-equality*: every distance it answers must
+be exactly what a per-pair loop over the reference kernels
+(``dtw_banded_fast`` / ``fastdtw`` / ``dtw``, divided by the warp-path
+length) produces, not merely close.  The property tests below therefore
+compare with ``==`` on floats.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.detector import DetectorConfig, VoiceprintDetector
 from repro.core.dtw import dtw
 from repro.core.fastdtw import dtw_banded_fast, fastdtw
 from repro.core.normalization import minmax_distances
 from repro.core.pairwise import (
+    PROV_INCREMENTAL,
     PairwiseEngine,
     band_cells,
-    dtw_band_lower_bound,
     dtw_band_upper_bound,
     dtw_banded_batch,
     dtw_banded_vec,
-    get_engine_defaults,
     lb_kim,
-    set_engine_defaults,
 )
 from repro.core.thresholds import ConstantThreshold
 from repro.obs.metrics import MetricsRegistry
+from tests.test_core_incremental import _sliding_scenario, _window_inputs
 
 _series = st.lists(
     st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
@@ -40,7 +41,8 @@ def _registry():
     return MetricsRegistry(enabled=True)
 
 
-def _naive_distances(arrays, radius=10, path_norm=True):
+def _reference_distances(arrays, radius=10, path_norm=True):
+    """The per-pair reference loop every engine answer must reproduce."""
     ids = sorted(arrays)
     out = {}
     for i, a in enumerate(ids):
@@ -135,13 +137,25 @@ class TestBatchKernel:
             dtw_banded_batch([np.ones(5)], [np.ones(5), np.ones(5)], 2)
 
 
+def _envelope(values, width):
+    """Sliding min/max envelope as the incremental engine keeps it."""
+    if values.size <= width:
+        return None  # the whole-series min/max covers every interval
+    windows = sliding_window_view(values, width)
+    return windows.min(axis=1), windows.max(axis=1)
+
+
 class TestBounds:
     @given(x=_series, y=_series, radius=st.integers(0, 12))
     @settings(max_examples=80, deadline=None)
     def test_sandwich_banded_dtw(self, x, y, radius):
         xa, ya = np.array(x), np.array(y)
         distance = dtw_banded_fast(xa, ya, radius).distance
-        lower = dtw_band_lower_bound(xa, ya, radius)
+        width = 2 * radius + 1
+        engine = PairwiseEngine(band_radius=radius, registry=_registry())
+        lower = engine._incremental_lower_bound(
+            xa, ya, _envelope(xa, width), _envelope(ya, width), radius
+        )
         upper, upper_len = dtw_band_upper_bound(xa, ya, radius)
         assert lb_kim(xa, ya) <= distance + 1e-9
         assert lower <= distance + 1e-9
@@ -168,12 +182,12 @@ class TestEngineCompare:
     def test_bit_equal_to_naive_loop(self):
         rng = np.random.default_rng(9)
         arrays = _scenario_arrays(rng)
-        engine = PairwiseEngine(band_radius=10, cache_size=64, registry=_registry())
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        distances, stats = engine.compare(arrays, keys, "tag")
-        assert distances == _naive_distances(arrays)
+        engine = PairwiseEngine(band_radius=10, registry=_registry())
+        distances, stats = engine.compare(arrays)
+        want = _reference_distances(arrays)
+        assert distances == want
+        assert list(distances) == list(want)  # sorted-identity order
         assert stats.pairs == stats.exact == len(distances)
-        assert stats.cache_hits == 0
 
     @pytest.mark.parametrize(
         "engine_kwargs,ref",
@@ -202,67 +216,122 @@ class TestEngineCompare:
             )
             assert value == expected
 
-    def test_cache_hits_and_counters(self):
+    def test_counters_reach_registry(self):
         rng = np.random.default_rng(11)
         arrays = {k: rng.normal(size=150) for k in "abcd"}
-        keys = {k: v.tobytes() for k, v in arrays.items()}
         registry = _registry()
-        engine = PairwiseEngine(band_radius=10, cache_size=32, registry=registry)
-        first, stats1 = engine.compare(arrays, keys, "s")
-        second, stats2 = engine.compare(arrays, keys, "s")
+        engine = PairwiseEngine(band_radius=10, registry=registry)
+        first, stats1 = engine.compare(arrays)
+        second, stats2 = engine.compare(arrays)
+        # Every call runs the kernels: same answer, same work.
         assert second == first
-        assert stats2.cache_hits == 6 and stats2.exact == 0 and stats2.cells == 0
+        assert stats2.exact == 6 and stats2.cells == stats1.cells
+        assert registry.counter("detector.pairs_compared").value == 12
+        assert registry.counter("detector.pairs_exact").value == 12
+        assert registry.counter("detector.dtw_cells").value == 2 * stats1.cells
+        assert engine.stats.pairs == 12
+
+    # Incremental mode keeps one cache: each pair's last kernel result,
+    # keyed by both windows' bytes and the scale tag, LRU-bounded by
+    # ``MAX_PAIR_STATES``.  An unchanged pair is answered from it.
+    def test_cache_hits_and_counters(self):
+        rng = np.random.default_rng(11)
+        inputs = _random_window_inputs(rng, "abcd")
+        registry = _registry()
+        engine = PairwiseEngine(band_radius=10, incremental=True, registry=registry)
+        first, _, stats1 = _decide(engine, inputs, 0.1, "normalized")
+        second, _, stats2 = _decide(engine, inputs, 0.1, "normalized")
+        assert second == first
+        assert stats2.incremental == 6 and stats2.exact == 0 and stats2.cells == 0
         assert stats2.cells_saved == stats1.cells
-        assert registry.counter("detector.cache_hits").value == 6
+        assert registry.counter("detector.pairs_incremental").value == 6
         assert registry.counter("detector.pairs_compared").value == 12
         assert registry.counter("detector.dtw_cells").value == stats1.cells
 
     def test_scale_tag_invalidates_cache(self):
         rng = np.random.default_rng(12)
-        arrays = {k: rng.normal(size=100) for k in "ab"}
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(band_radius=10, cache_size=32, registry=_registry())
-        engine.compare(arrays, keys, "scale-A")
-        _, stats = engine.compare(arrays, keys, "scale-B")
-        assert stats.cache_hits == 0 and stats.exact == 1
+        inputs = _random_window_inputs(rng, "ab")
+        engine = PairwiseEngine(band_radius=10, incremental=True, registry=_registry())
+        _decide(engine, inputs, 0.1, "normalized", scale_tag="scale-A")
+        _, _, stats = _decide(engine, inputs, 0.1, "normalized", scale_tag="scale-B")
+        assert stats.incremental == 0 and stats.exact == 1
+        # The rerun is stored under the new tag and answers the next call.
+        _, _, stats = _decide(engine, inputs, 0.1, "normalized", scale_tag="scale-B")
+        assert stats.incremental == 1 and stats.exact == 0
 
     def test_lru_eviction(self):
         rng = np.random.default_rng(13)
-        arrays = {k: rng.normal(size=100) for k in "abc"}  # 3 pairs
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(band_radius=10, cache_size=2, registry=_registry())
-        engine.compare(arrays, keys, "s")
-        assert engine.cache_len == 2  # oldest pair evicted
-        _, stats = engine.compare(arrays, keys, "s")
-        assert 0 < stats.cache_hits < 3
+        inputs = _random_window_inputs(rng, "abc")  # 3 pairs
+        engine = PairwiseEngine(band_radius=10, incremental=True, registry=_registry())
+        engine.MAX_PAIR_STATES = 2
+        _decide(engine, inputs, 0.1, "normalized")
+        assert engine.incremental_state_len == 2
+        assert list(engine._pair_states) == [("a", "c"), ("b", "c")]  # oldest out
+        _, _, stats = _decide(engine, inputs, 0.1, "normalized")
+        assert 0 < stats.incremental < 3
+        assert engine.incremental_state_len == 2
 
     def test_cache_disabled(self):
         rng = np.random.default_rng(14)
         arrays = {k: rng.normal(size=100) for k in "ab"}
-        engine = PairwiseEngine(band_radius=10, cache_size=0, registry=_registry())
-        assert not engine.cache_enabled
-        _, stats1 = engine.compare(arrays, {k: v.tobytes() for k, v in arrays.items()}, "s")
-        _, stats2 = engine.compare(arrays, {k: v.tobytes() for k, v in arrays.items()}, "s")
-        assert stats1.cache_misses == 0 and stats2.cache_hits == 0
+        engine = PairwiseEngine(band_radius=10, registry=_registry())
+        assert not engine.can_incremental
+        _, stats1 = engine.compare(arrays)
+        _, stats2 = engine.compare(arrays)
+        assert engine.incremental_state_len == 0
+        assert stats1.incremental == stats2.incremental == 0
         assert stats2.exact == 1
 
-    def test_workers_match_inline(self):
-        rng = np.random.default_rng(15)
-        arrays = _scenario_arrays(rng, n_ids=7)
-        inline = PairwiseEngine(band_radius=10, workers=0, registry=_registry())
-        pooled = PairwiseEngine(band_radius=10, workers=2, registry=_registry())
-        got_inline, _ = inline.compare(arrays)
-        got_pooled, _ = pooled.compare(arrays)
-        assert got_pooled == got_inline
+
+def _decide(engine, inputs, cutoff, threshold_on, scale_tag="s"):
+    """One ``compare_incremental`` call on :func:`_window_inputs` output."""
+    arrays, raw, times, keys, params = inputs
+    return engine.compare_incremental(
+        arrays, raw, times, keys, scale_tag, params, cutoff, threshold_on
+    )
+
+
+def _random_window_inputs(rng, ids, n=150):
+    t = np.arange(n) * 0.1
+    streams = {k: rng.normal(size=n) - 70.0 for k in ids}
+    return _window_inputs(t, streams, 0.0, float(t[-1]))
+
+
+def _slid_windows(streams, t, shift, length=20.0):
+    """Inputs for a window and for the same window ``shift`` s later.
+
+    The two overlap, so on the second call
+    :meth:`PairwiseEngine.compare_incremental` may decide pairs from
+    the bound sandwich or an abandoned kernel run.
+    """
+    return (
+        _window_inputs(t, streams, 0.0, length),
+        _window_inputs(t, streams, shift, length + shift),
+    )
+
+
+def _unscaled(inputs):
+    """The same windows compared unnormalised (mean 0, divisor 1)."""
+    _arrays, raw, times, keys, _params = inputs
+    return raw, raw, times, keys, {k: (0.0, 1.0) for k in raw}
 
 
 class TestCompareDecided:
+    """Threshold-aware comparison: after a slide,
+    :meth:`PairwiseEngine.compare_incremental` decides pairs without an
+    exact distance — ``pruned-*`` from the bound sandwich, or an
+    abandoned kernel run — and must still return the naive loop's flags.
+    """
+
     @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_flags_identical_to_naive(self, threshold_on, seed):
         rng = np.random.default_rng(seed)
-        arrays = _scenario_arrays(rng, n_ids=int(rng.integers(3, 8)))
-        naive_raw = _naive_distances(arrays)
+        t, streams = _sliding_scenario(rng, n_samples=300)
+        n_ids = int(rng.integers(5, 7))
+        streams = dict(sorted(streams.items())[:n_ids])
+        first, second = _slid_windows(streams, t, shift=1.0 + 0.5 * seed)
+        naive_raw = _reference_distances(second[0])
         judged = (
             minmax_distances(naive_raw) if threshold_on == "normalized" else naive_raw
         )
@@ -272,78 +341,105 @@ class TestCompareDecided:
             if threshold_on == "normalized"
             else [0.0, values[0], values[len(values) // 2], values[-1] * 2]
         )
+        decided = 0
         for cutoff in cutoffs:
             engine = PairwiseEngine(
-                band_radius=10, pruning=True, cache_size=0, registry=_registry()
+                band_radius=10, incremental=True, registry=_registry()
             )
-            distances, flags, stats = engine.compare_decided(
-                arrays, None, "", cutoff, threshold_on
-            )
+            _decide(engine, first, cutoff, threshold_on)
+            distances, flags, stats = _decide(engine, second, cutoff, threshold_on)
             assert flags == {p: d <= cutoff for p, d in judged.items()}
-            assert stats.exact + stats.pruned == stats.pairs
+            assert stats.exact + stats.pruned + stats.abandoned == stats.pairs
+            decided += stats.pruned + stats.abandoned
             if threshold_on == "normalized":
                 # Normalized mode resolves the min-max anchors exactly,
                 # so the report's extremes match the naive loop even
                 # when other pairs carry bound surrogates.
-                assert min(distances.values()) == min(naive_raw.values())
-                assert max(distances.values()) == max(naive_raw.values())
+                assert min(distances.values()) == values[0]
+                assert max(distances.values()) == values[-1]
+        assert decided > 0  # the slide must leave pairs to decide
 
     def test_surrogates_stay_on_correct_side(self):
-        # Two tight clusters far apart: within-cluster pairs are decided
-        # by the upper bound, cross-cluster pairs by the lower bound.
+        # Three near-identical series and three far, offset ones,
+        # compared unnormalised: pairs within the near group are decided
+        # by the upper bound, pairs with a far series by the lower bound.
         rng = np.random.default_rng(21)
-        wave = np.sin(np.linspace(0.0, 12.0, 200))
-        arrays = {}
+        t = np.arange(300) * 0.1
+        wave = np.sin(t / 1.5)
+        streams = {}
         for i in range(3):
-            arrays[f"near{i}"] = wave + rng.normal(scale=0.01, size=200)
+            streams[f"near{i}"] = wave + rng.normal(scale=0.01, size=t.size)
         for i in range(3):
-            arrays[f"far{i}"] = wave[::-1] + 100.0 * (i + 1) + rng.normal(
-                scale=0.01, size=200
+            streams[f"far{i}"] = wave[::-1] + 100.0 * (i + 1) + rng.normal(
+                scale=0.01, size=t.size
             )
-        cutoff = 0.3
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=0, registry=_registry()
+        first, second = (
+            _unscaled(inputs) for inputs in _slid_windows(streams, t, shift=1.0)
         )
-        distances, flags, stats = engine.compare_decided(
-            arrays, None, "", cutoff, "normalized"
-        )
-        assert stats.pruned > 0  # the scenario must actually exercise pruning
-        naive_judged = minmax_distances(_naive_distances(arrays))
-        assert flags == {p: d <= cutoff for p, d in naive_judged.items()}
-        # Surrogates must land on their flag's side of the threshold
-        # even after re-normalising the mixed exact/surrogate report.
-        normalised = minmax_distances(distances)
-        for pair, flag in flags.items():
-            assert (normalised[pair] <= cutoff) == flag
+        naive_raw = _reference_distances(second[0])
+        for threshold_on, cutoff in (("normalized", 0.3), ("raw", 5000.0)):
+            engine = PairwiseEngine(
+                band_radius=10, incremental=True, registry=_registry()
+            )
+            _decide(engine, first, cutoff, threshold_on)
+            distances, flags, stats = _decide(engine, second, cutoff, threshold_on)
+            assert stats.pruned + stats.abandoned > 0  # the slide must decide
+            naive_judged = (
+                minmax_distances(naive_raw)
+                if threshold_on == "normalized"
+                else naive_raw
+            )
+            assert flags == {p: d <= cutoff for p, d in naive_judged.items()}
+            # Surrogates must land on their flag's side of the threshold
+            # even after re-normalising the mixed exact/surrogate report.
+            judged = (
+                minmax_distances(distances)
+                if threshold_on == "normalized"
+                else distances
+            )
+            for pair, flag in flags.items():
+                assert (judged[pair] <= cutoff) == flag
 
     def test_degenerate_identical_series(self):
-        base = np.sin(np.linspace(0, 6, 120))
-        arrays = {k: base.copy() for k in "abc"}
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=0, registry=_registry()
-        )
-        _, flags, _ = engine.compare_decided(arrays, None, "", 0.0, "normalized")
+        t = np.arange(200) * 0.1
+        base = np.sin(np.linspace(0.0, 6.0, t.size))
+        streams = {k: base.copy() for k in "abc"}
+        first, second = _slid_windows(streams, t, shift=1.0, length=12.0)
+        engine = PairwiseEngine(band_radius=10, incremental=True, registry=_registry())
+        _decide(engine, first, 0.0, "normalized")
+        distances, flags, _ = _decide(engine, second, 0.0, "normalized")
         assert all(flags.values())  # min-max degenerates to all-zero
+        assert set(distances.values()) == {0.0}
 
     def test_cached_pairs_count_as_exact(self):
+        # Only veh0's window changes: every other pair is answered from
+        # the carry store and enters the decision as an exact distance.
         rng = np.random.default_rng(22)
-        arrays = _scenario_arrays(rng, n_ids=5)
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=32, registry=_registry()
-        )
-        engine.compare(arrays, keys, "s")  # warm the cache
-        distances, flags, stats = engine.compare_decided(
-            arrays, keys, "s", 0.3, "normalized"
-        )
-        assert stats.cache_hits == stats.pairs and stats.exact == 0
-        assert distances == _naive_distances(arrays)
+        t, streams = _sliding_scenario(rng)
+        first = _window_inputs(t, streams, 0.0, 20.0)
+        moved = dict(streams)
+        moved["veh0"] = streams["veh0"] + rng.normal(scale=0.5, size=t.size)
+        second = _window_inputs(t, moved, 0.0, 20.0)
+        engine = PairwiseEngine(band_radius=10, incremental=True, registry=_registry())
+        _decide(engine, first, 0.3, "normalized")
+        engine.record_provenance = True
+        distances, flags, stats = _decide(engine, second, 0.3, "normalized")
+        naive = _reference_distances(second[0])
+        carried = [pair for pair in naive if "veh0" not in pair]
+        assert stats.incremental == len(carried) == 10
+        assert stats.exact == stats.pairs - len(carried)
+        assert distances == naive
+        for pair in carried:
+            assert engine.last_provenance[pair]["tag"] == PROV_INCREMENTAL
+        normalised = minmax_distances(naive)
+        assert flags == {p: d <= 0.3 for p, d in normalised.items()}
 
     def test_requires_banded_pruning(self):
-        engine = PairwiseEngine(band_radius=None, pruning=True, registry=_registry())
-        assert not engine.can_prune
-        with pytest.raises(RuntimeError):
-            engine.compare_decided({}, None, "", 0.0, "normalized")
+        for kwargs in ({"band_radius": None}, {"use_exact_dtw": True}):
+            engine = PairwiseEngine(incremental=True, registry=_registry(), **kwargs)
+            assert not engine.can_incremental
+            with pytest.raises(RuntimeError):
+                engine.compare_incremental({}, {}, {}, {}, "", {}, 0.0, "normalized")
 
 
 def _feed(detector, identity, values, start=0.0, interval=0.1):
@@ -379,56 +475,71 @@ def _detector(registry=None, **config_kwargs):
     )
 
 
+def _reference_report(detector, density, now):
+    """The detector's report recomputed with the per-pair reference loop.
+
+    The detector's own normalised windows go through
+    :func:`_reference_distances`, then Eq. 8 min–max and the threshold
+    rule — the computation every engine path must reproduce.
+    """
+    normalised, _skipped, _scale_tag = detector._normalise(now)
+    raw = _reference_distances(normalised, radius=detector.config.band_radius_samples)
+    distances = minmax_distances(raw)
+    cutoff = detector.threshold.threshold_at(density)
+    judged = distances if detector.config.threshold_on == "normalized" else raw
+    sybil_pairs = tuple(pair for pair, d in sorted(judged.items()) if d <= cutoff)
+    return raw, distances, sybil_pairs
+
+
 class TestDetectorIntegration:
     @pytest.mark.parametrize("scale_mode", ["median", "per-series"])
     @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
     def test_engine_report_bit_identical_to_legacy(self, scale_mode, threshold_on):
         rng = np.random.default_rng(31)
         streams = _synthetic_observations(rng)
-        kwargs = {"scale_mode": scale_mode, "threshold_on": threshold_on}
-        legacy = _detector(pairwise_engine=False, **kwargs)
-        engine = _detector(pairwise_engine=True, **kwargs)
+        engine = _detector(scale_mode=scale_mode, threshold_on=threshold_on)
         for name, values in streams.items():
-            _feed(legacy, name, values)
             _feed(engine, name, values)
-        want = legacy.detect(density=40.0)
-        got = engine.detect(density=40.0)
-        assert got.raw_distances == want.raw_distances
-        assert got.distances == want.distances
-        assert got.sybil_pairs == want.sybil_pairs
-        assert got.sybil_ids == want.sybil_ids
+        now = engine._latest
+        want_raw, want_distances, want_pairs = _reference_report(engine, 40.0, now)
+        got = engine.detect(density=40.0, now=now)
+        assert got.raw_distances == want_raw
+        assert got.distances == want_distances
+        assert got.sybil_pairs == want_pairs
+        assert got.sybil_ids == frozenset(i for pair in want_pairs for i in pair)
+        assert got.sybil_pairs  # the attacker trio must actually be flagged
 
     @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
     def test_pruned_detect_flags_identical_to_legacy(self, threshold_on):
+        # Incremental detections 1–1.5 s apart: pairs are pruned from
+        # bounds or abandoned, yet each report flags what the per-pair
+        # reference loop flags.
         rng = np.random.default_rng(32)
-        streams = _synthetic_observations(rng)
-        legacy = _detector(pairwise_engine=False, threshold_on=threshold_on)
+        streams = _synthetic_observations(rng, n_samples=260)
         registry = _registry()
         pruned = _detector(
-            registry,
-            pairwise_engine=True,
-            pairwise_pruning=True,
-            threshold_on=threshold_on,
+            registry, pairwise_incremental=True, threshold_on=threshold_on
         )
         for name, values in streams.items():
-            _feed(legacy, name, values)
             _feed(pruned, name, values)
-        want = legacy.detect(density=40.0)
-        got = pruned.detect(density=40.0)
-        assert got.sybil_pairs == want.sybil_pairs
-        assert got.sybil_ids == want.sybil_ids
+        for now in (20.0, 21.0, 22.5, 24.0, 25.5):
+            _, _, want_pairs = _reference_report(pruned, 40.0, now)
+            got = pruned.detect(density=40.0, now=now)
+            assert got.sybil_pairs == want_pairs
+            assert got.sybil_ids == frozenset(i for pair in want_pairs for i in pair)
         stats = pruned.pairwise_stats
-        assert stats is not None
-        assert stats.exact + stats.pruned + stats.cache_hits == stats.pairs
+        assert stats.pruned + stats.abandoned > 0
         assert (
-            registry.counter("detector.pairs_compared").value == stats.pairs
+            stats.exact + stats.pruned + stats.incremental + stats.abandoned
+            == stats.pairs
         )
+        assert registry.counter("detector.pairs_compared").value == stats.pairs
 
     def test_repeat_detect_hits_cache(self):
         rng = np.random.default_rng(33)
         streams = _synthetic_observations(rng)
         registry = _registry()
-        detector = _detector(registry, pairwise_engine=True)
+        detector = _detector(registry, pairwise_incremental=True)
         for name, values in streams.items():
             _feed(detector, name, values)
         first = detector.detect(density=40.0)
@@ -437,34 +548,14 @@ class TestDetectorIntegration:
         assert second.raw_distances == first.raw_distances
         assert second.sybil_pairs == first.sybil_pairs
         assert registry.counter("detector.dtw_cells").value == cells_after_first
-        assert registry.counter("detector.cache_hits").value == len(
+        assert registry.counter("detector.pairs_incremental").value == len(
             first.raw_distances
         )
 
-    def test_pairwise_stats_none_on_legacy_path(self):
-        assert _detector(pairwise_engine=False).pairwise_stats is None
-
     @pytest.mark.parametrize(
         "kwargs",
-        [{"pairwise_cache_size": -1}, {"pairwise_workers": -2}],
+        [{"band_radius_samples": -1}, {"fastdtw_radius": -2}],
     )
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             DetectorConfig(**kwargs)
-
-    def test_process_defaults_plumbing(self):
-        previous = set_engine_defaults(engine=False, pruning=True)
-        try:
-            assert get_engine_defaults().engine is False
-            assert _detector().pairwise_stats is None  # inherited engine=False
-            explicit = _detector(pairwise_engine=True)
-            assert explicit.pairwise_stats is not None
-            assert explicit._engine is not None and explicit._engine.pruning
-        finally:
-            set_engine_defaults(
-                engine=previous.engine,
-                pruning=previous.pruning,
-                cache_size=previous.cache_size,
-                workers=previous.workers,
-            )
-        assert get_engine_defaults() == previous

@@ -3,9 +3,9 @@
 Covers the off-by-default guarantees (no global log, no provenance
 capture, no bundle construction), margin math and the near-miss knob,
 window evidence encoding, the ring/stream/dump behaviour of
-:class:`AuditLog`, bundle structure for exact / cache-hit / pruned
-provenance, the snapshot/merge cross-process folding contract, the
-bit-identical replay verification (including tamper detection), the
+:class:`AuditLog`, bundle structure for exact / bound-decided /
+early-abandon provenance, the snapshot/merge cross-process folding
+contract, the bit-identical replay verification (including tamper detection), the
 health monitor's fragile-verdict alert, the snapshotter's near-miss
 ratio gauge, and the deterministic ordering of
 ``DetectionReport.sybil_clusters`` across hash seeds.
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig, VoiceprintDetector
-from repro.core.pairwise import PROV_CACHE, PROV_EXACT
+from repro.core.pairwise import PROV_ABANDON, PROV_EXACT, PROV_INCREMENTAL
 from repro.core.thresholds import ConstantThreshold
 from repro.obs.audit import (
     DEFAULT_NEAR_MISS_EPSILON,
@@ -59,8 +59,8 @@ def _no_leaked_global_state():
     set_near_miss_epsilon(DEFAULT_NEAR_MISS_EPSILON)
 
 
-def make_detector(n=6, seed=0, samples=120, **config_kwargs):
-    """A loaded detector over random-walk RSSI series (cache-cold)."""
+def make_detector(n=6, seed=0, samples=120, duration=20.0, **config_kwargs):
+    """A loaded detector over random-walk RSSI series."""
     from repro.core.timeseries import RSSITimeSeries
 
     rng = np.random.default_rng(seed)
@@ -68,7 +68,7 @@ def make_detector(n=6, seed=0, samples=120, **config_kwargs):
     detector = VoiceprintDetector(
         threshold=ConstantThreshold(0.05), config=config
     )
-    times = np.linspace(0.0, 20.0, samples)
+    times = np.linspace(0.0, duration, samples)
     for index in range(n):
         series = RSSITimeSeries(f"v{index:02d}")
         rssi = -70.0 + np.cumsum(rng.normal(0.0, 0.8, samples))
@@ -76,6 +76,19 @@ def make_detector(n=6, seed=0, samples=120, **config_kwargs):
             series.append(float(t), float(value))
         detector.load_series(series)
     return detector
+
+
+def slid_incremental_bundle():
+    """Audit bundle of an incremental detection 2 s after the previous
+    one: the windows overlap, so some pairs are decided from bounds or
+    by an abandoned kernel run."""
+    start_default()
+    detector = make_detector(
+        samples=300, duration=30.0, pairwise_incremental=True
+    )
+    detector.detect(density=40.0, now=20.0)
+    detector.detect(density=40.0, now=22.0)
+    return stop_default().bundles[1]
 
 
 class TestMarginMath:
@@ -195,7 +208,6 @@ class TestBundleRecording:
         for record in bundle["pairs"]:
             pair = (record["a"], record["b"])
             assert record["provenance"] == PROV_EXACT
-            assert record["cache_key"]
             assert record["margin"] == report.margins[pair]
             assert record["raw_distance"] == report.raw_distances[pair]
             assert record["flagged"] == (pair in set(report.sybil_pairs))
@@ -209,35 +221,42 @@ class TestBundleRecording:
         assert loaded["pairs"] == bundle["pairs"]
 
     def test_second_detect_hits_cache_with_key(self):
+        # Incremental mode keeps each pair's last kernel result keyed by
+        # both windows' bytes and the scale tag; an unchanged window is
+        # answered from that store under the key the bundle records.
         start_default()
-        detector = make_detector(pairwise_cache_size=1024)
+        detector = make_detector(pairwise_incremental=True)
         detector.detect(density=40.0, now=20.0)
         detector.detect(density=40.0, now=20.0)
         log = stop_default()
         first, second = log.bundles
         assert {r["provenance"] for r in first["pairs"]} == {PROV_EXACT}
-        assert {r["provenance"] for r in second["pairs"]} == {PROV_CACHE}
-        exact_keys = {(r["a"], r["b"]): r["cache_key"] for r in first["pairs"]}
+        assert {r["provenance"] for r in second["pairs"]} == {PROV_INCREMENTAL}
+        assert second["scale_tag"] == first["scale_tag"]
+        exact = {(r["a"], r["b"]): r for r in first["pairs"]}
         for record in second["pairs"]:
-            assert record["cache_key"] == exact_keys[(record["a"], record["b"])]
+            a, b = record["a"], record["b"]
+            for identity in (a, b):
+                assert (
+                    second["series"][identity]["sha256"]
+                    == first["series"][identity]["sha256"]
+                )
+            assert record["raw_distance"] == exact[(a, b)]["raw_distance"]
+            assert record["bound"] is None
 
     def test_pruned_pairs_record_their_deciding_bound(self):
-        start_default()
-        detector = make_detector(
-            n=10, pairwise_pruning=True, pairwise_cache_size=0
-        )
-        detector.detect(density=40.0, now=20.0)
-        log = stop_default()
-        (bundle,) = log.bundles
-        tags = {r["provenance"] for r in bundle["pairs"]}
+        slid = slid_incremental_bundle()
+        tags = {r["provenance"] for r in slid["pairs"]}
         assert PROV_EXACT in tags
-        pruned = [
-            r for r in bundle["pairs"] if r["provenance"].startswith("pruned")
+        decided = [
+            r
+            for r in slid["pairs"]
+            if r["provenance"].startswith("pruned")
+            or r["provenance"] == PROV_ABANDON
         ]
-        assert pruned, "the pruning workload should prune at least one pair"
-        for record in pruned:
+        assert decided, "the slid window should decide at least one pair"
+        for record in decided:
             assert record["bound"] is not None
-            assert record["cache_key"] is None
 
     def test_store_windows_off_drops_bytes_and_blocks_replay(self):
         start_default(store_windows=False)
@@ -297,16 +316,31 @@ class TestReplayContract:
         with pytest.raises(ValueError, match="SHA-256"):
             replay_pair(bundle, bundle["pairs"][0]["a"], bundle["pairs"][0]["b"])
 
-    def test_non_exact_records_are_skipped(self):
+    def test_repeat_detection_records_replay_exactly(self):
+        # A repeated same-window detection runs the kernels again, so
+        # every record carries the bit-replay obligation and meets it.
         start_default()
-        detector = make_detector(pairwise_cache_size=1024)
+        detector = make_detector()
         detector.detect(density=40.0, now=20.0)
         detector.detect(density=40.0, now=20.0)
         log = stop_default()
-        cached = log.bundles[1]
-        results = verify_bundle(cached)
-        assert all(r["status"] == "skipped" for r in results)
-        assert {r["provenance"] for r in results} == {PROV_CACHE}
+        results = verify_bundle(log.bundles[1])
+        assert results
+        assert {r["provenance"] for r in results} == {PROV_EXACT}
+        assert all(r["status"] == "ok" for r in results)
+        assert not [r for r in results if r["status"] == "skipped"]
+
+    def test_non_exact_records_are_skipped(self):
+        results = verify_bundle(slid_incremental_bundle())
+        replayable = {PROV_EXACT, PROV_INCREMENTAL}
+        skipped = [r for r in results if r["status"] == "skipped"]
+        assert skipped, "the slid window should decide at least one pair"
+        for result in results:
+            if result["provenance"] in replayable:
+                assert result["status"] == "ok"
+            else:
+                # Bound-decided and abandoned distances are surrogates.
+                assert result["status"] == "skipped"
 
 
 class TestSnapshotMerge:

@@ -15,10 +15,12 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.fieldtest import FieldTestConfig, run_field_test
 
 
-def _loaded_detector(registry=None, tracer=None, n_series=4, seed=0):
+def _loaded_detector(
+    registry=None, tracer=None, n_series=4, seed=0, **config_kwargs
+):
     detector = VoiceprintDetector(
         threshold=ConstantThreshold(0.05),
-        config=DetectorConfig(min_samples=20),
+        config=DetectorConfig(min_samples=20, **config_kwargs),
         registry=registry,
         tracer=tracer,
     )
@@ -62,6 +64,24 @@ class TestDetectorInstrumentation:
         by_name = {r["name"]: r for r in exporter.records}
         assert by_name["pairwise_dtw"]["attributes"]["pairs"] == 6
         assert by_name["pairwise_dtw"]["attributes"]["cells"] > 0
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_span_work_counts_do_not_need_metrics(self, incremental):
+        # Tracing on, metrics off: the span's pair and cell counts come
+        # from the engine's own work accounting, not from registry
+        # counters that a disabled registry leaves at zero.
+        exporter = InMemorySpanExporter()
+        detector = _loaded_detector(
+            registry=MetricsRegistry(enabled=False),
+            tracer=Tracer(exporter=exporter),
+            pairwise_incremental=incremental,
+        )
+        detector.detect(density=10.0)
+        [span] = [r for r in exporter.records if r["name"] == "pairwise_dtw"]
+        assert span["attributes"]["pairs"] == 6
+        cells = detector.pairwise_stats.cells
+        assert cells > 0
+        assert span["attributes"]["cells"] == cells
 
     def test_default_global_state_records_nothing(self):
         registry = obs.default_registry()
